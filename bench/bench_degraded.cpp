@@ -60,7 +60,7 @@ int main() {
   Rng rng(11);
   const SyntheticEvent event = twin.synthesize(RuptureScenario(rc), rng);
   twin.run_offline(event.noise);
-  const StreamingEngine engine = twin.make_streaming({.track_map = true});
+  const StreamingEngine engine = twin.make_streaming();
 
   const std::size_t nt = engine.num_ticks();
   const std::size_t nd = engine.block_size();

@@ -120,7 +120,7 @@ int main() {
   Rng erng(9);
   const SyntheticEvent event = twin.synthesize(RuptureScenario(rc), erng);
   twin.run_offline(event.noise);
-  const StreamingEngine engine = twin.make_streaming({.track_map = false});
+  const StreamingEngine engine = twin.make_streaming();
   const std::size_t ticks = engine.num_ticks();
   const std::size_t nd = engine.block_size();
 

@@ -17,8 +17,15 @@
 // qualify the numbers). Event data synthesis: one PDE forward solve, then
 // per-event re-noising — the service sees N distinct data streams without
 // N PDE solves.
+//
+// Reader load: a dashboard polls latest_forecast, which copies the whole
+// Forecast under the snapshot mutex that every publish also takes. The
+// reader case replays the same events with and without one thread polling
+// latest_forecast round-robin for the whole replay, and reports the read's
+// p50/p99 plus both replay wall times (min over alternating rounds).
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -26,6 +33,7 @@
 #include "bench_util.hpp"
 #include "service/engine_cache.hpp"
 #include "service/warning_service.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -54,7 +62,7 @@ int main() {
   const SyntheticEvent event = twin->synthesize(RuptureScenario(rc), rng);
   twin->run_offline(event.noise);
 
-  EngineCache cache({.track_map = false});  // forecast-only serving
+  EngineCache cache;
   const auto engine = cache.adopt(std::move(twin));
   const std::size_t nt = engine->engine().num_ticks();
   const std::size_t nd = engine->engine().block_size();
@@ -85,7 +93,7 @@ int main() {
   report.note("workers", static_cast<double>(workers));
   report.note("hardware_threads",
               static_cast<double>(std::thread::hardware_concurrency()));
-  double speedup_at_64 = 0.0;
+  double speedup_at_64 = -1.0;  // stays negative unless N = 64 is measured
   // Quick (CI smoke) mode trims the sweep: the point is to execute the
   // serving path once, not to load-test a shared runner.
   const std::vector<std::size_t> event_counts =
@@ -130,12 +138,13 @@ int main() {
         .cell(format_duration(telem.push_latency.p95))
         .cell(format_duration(telem.push_latency.p99))
         .cell(format_duration(telem.push_latency.max));
-    // Wall time per replay (reps=1: one concurrent replay per N) plus the
-    // telemetry tails as shape entries — p95 is the ISSUE's tracked number.
+    // Wall time per replay (reps=1: one concurrent replay per N); the
+    // telemetry tails are measurements, so they ride in `extra`.
     report.add("concurrent_replay",
                {{"events", static_cast<double>(n)},
-                {"ticks_per_event", static_cast<double>(nt)},
-                {"push_p50_ns", telem.push_latency.p50 * 1e9},
+                {"ticks_per_event", static_cast<double>(nt)}},
+               bu::Stat{service_s * 1e9, service_s * 1e9, service_s * 1e9, 1},
+               {{"push_p50_ns", telem.push_latency.p50 * 1e9},
                 {"push_p95_ns", telem.push_latency.p95 * 1e9},
                 {"push_p99_ns", telem.push_latency.p99 * 1e9},
                 // SLO: time from open_event to first published forecast,
@@ -144,16 +153,81 @@ int main() {
                  telem.time_to_first_forecast.percentile(50.0) * 1e9},
                 {"ttff_p95_ns",
                  telem.time_to_first_forecast.percentile(95.0) * 1e9},
-                {"serial_wall_ns", serial_s * 1e9}},
-               bu::Stat{service_s * 1e9, service_s * 1e9, service_s * 1e9, 1});
+                {"serial_wall_ns", serial_s * 1e9}});
   }
   std::printf("%s\n", table.str().c_str());
+  if (speedup_at_64 >= 0.0) {
+    std::printf(
+        "speedup at 64 concurrent events: %.2fx with %zu workers on %u "
+        "hardware threads (sessions share one engine; scaling is bounded by "
+        "min(workers, cores))\n",
+        speedup_at_64, workers, std::thread::hardware_concurrency());
+    report.note("speedup_at_64", speedup_at_64);
+  }
+
+  // Reader cost under publish: the same replay with and without one thread
+  // polling latest_forecast, alternating rounds so neither side runs colder.
+  const std::size_t n_read = bu::quick_mode() ? 8 : 64;
+  const int rounds = std::max(2, bu::reps(5));
+  double wall_alone = 1e300, wall_read = 1e300;
+  std::vector<double> reads;
+  for (int r = 0; r < rounds; ++r) {
+    for (const bool with_reader : {false, true}) {
+      WarningService service(
+          {.num_workers = workers, .max_pending_per_event = nt});
+      std::vector<EventId> ids;
+      ids.reserve(n_read);
+      for (std::size_t e = 0; e < n_read; ++e)
+        ids.push_back(service.open_event(engine));
+      std::atomic<bool> replaying{true};
+      std::vector<double> round_reads;
+      std::thread reader;
+      if (with_reader) {
+        round_reads.reserve(1 << 20);  // the reader never reallocates
+        reader = std::thread([&] {
+          for (std::size_t i = 0; replaying.load(std::memory_order_acquire);
+               ++i) {
+            Stopwatch w;
+            (void)service.latest_forecast(ids[i % ids.size()]);
+            const double s = w.seconds();
+            if (round_reads.size() < round_reads.capacity())
+              round_reads.push_back(s);
+          }
+        });
+      }
+      Stopwatch replay;
+      for (std::size_t t = 0; t < nt; ++t)
+        for (std::size_t e = 0; e < n_read; ++e)
+          service.submit(ids[e], t, block(e, t));
+      service.drain();
+      const double wall = replay.seconds();
+      replaying.store(false, std::memory_order_release);
+      if (reader.joinable()) reader.join();
+      for (const EventId id : ids) (void)service.close_event(id);
+      if (with_reader) {
+        wall_read = std::min(wall_read, wall);
+        reads.insert(reads.end(), round_reads.begin(), round_reads.end());
+      } else {
+        wall_alone = std::min(wall_alone, wall);
+      }
+    }
+  }
+  const double read_p50 = percentile(reads, 50.0);
+  const double read_p99 = percentile(reads, 99.0);
   std::printf(
-      "speedup at 64 concurrent events: %.2fx with %zu workers on %u "
-      "hardware threads (sessions share one engine; scaling is bounded by "
-      "min(workers, cores))\n",
-      speedup_at_64, workers, std::thread::hardware_concurrency());
-  report.note("speedup_at_64", speedup_at_64);
+      "reader under publish (%zu events, one thread polling latest_forecast, "
+      "%zu reads): read p50 %s | p99 %s | replay %s alone vs %s with the "
+      "reader (%.2fx)\n",
+      n_read, reads.size(), format_duration(read_p50).c_str(),
+      format_duration(read_p99).c_str(), format_duration(wall_alone).c_str(),
+      format_duration(wall_read).c_str(), wall_read / wall_alone);
+  report.add("latest_forecast_read",
+             {{"events", static_cast<double>(n_read)},
+              {"ticks_per_event", static_cast<double>(nt)}},
+             bu::from_seconds(reads),
+             {{"read_p99_ns", read_p99 * 1e9},
+              {"replay_alone_ns", wall_alone * 1e9},
+              {"replay_with_reader_ns", wall_read * 1e9}});
   report.write();
   return 0;
 }

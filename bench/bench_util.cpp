@@ -51,8 +51,9 @@ JsonReport::~JsonReport() {
 
 void JsonReport::add(const std::string& case_name,
                      const std::vector<std::pair<std::string, double>>& shape,
-                     const Stat& stat) {
-  cases_.push_back(Case{case_name, shape, stat});
+                     const Stat& stat,
+                     const std::vector<std::pair<std::string, double>>& extra) {
+  cases_.push_back(Case{case_name, shape, stat, extra});
 }
 
 void JsonReport::note(const std::string& key, double value) {
@@ -67,6 +68,18 @@ void append_number(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
+}
+
+/// {"key": value, ...} over named numbers.
+void append_object(std::string& out,
+                   const std::vector<std::pair<std::string, double>>& entries) {
+  out += "{";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i) out += ", ";
+    out += "\"" + entries[i].first + "\": ";
+    append_number(out, entries[i].second);
+  }
+  out += "}";
 }
 
 /// Commit being benchmarked: TSUNAMI_GIT_SHA, then CI's GITHUB_SHA, then
@@ -124,13 +137,9 @@ std::string JsonReport::write() {
   for (std::size_t i = 0; i < cases_.size(); ++i) {
     const Case& c = cases_[i];
     out += i ? ",\n    " : "\n    ";
-    out += "{\"name\": \"" + c.name + "\", \"shape\": {";
-    for (std::size_t j = 0; j < c.shape.size(); ++j) {
-      if (j) out += ", ";
-      out += "\"" + c.shape[j].first + "\": ";
-      append_number(out, c.shape[j].second);
-    }
-    out += "}, \"reps\": ";
+    out += "{\"name\": \"" + c.name + "\", \"shape\": ";
+    append_object(out, c.shape);
+    out += ", \"reps\": ";
     append_number(out, c.stat.reps);
     out += ", \"median_ns\": ";
     append_number(out, c.stat.median_ns);
@@ -138,15 +147,15 @@ std::string JsonReport::write() {
     append_number(out, c.stat.p10_ns);
     out += ", \"p90_ns\": ";
     append_number(out, c.stat.p90_ns);
+    if (!c.extra.empty()) {
+      out += ", \"extra\": ";
+      append_object(out, c.extra);
+    }
     out += "}";
   }
-  out += "\n  ],\n  \"notes\": {";
-  for (std::size_t i = 0; i < notes_.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + notes_[i].first + "\": ";
-    append_number(out, notes_[i].second);
-  }
-  out += "}\n}\n";
+  out += "\n  ],\n  \"notes\": ";
+  append_object(out, notes_);
+  out += "\n}\n";
 
   const std::string file = "BENCH_" + name_ + ".json";
   if (std::FILE* f = std::fopen(file.c_str(), "w")) {

@@ -13,7 +13,8 @@
 //              "tsunami_num_threads": 8, "timestamp": "2026-01-01T00:00:00Z"},
 //     "cases": [
 //       {"name": "...", "shape": {"rows": 8, ...},
-//        "reps": 25, "median_ns": ..., "p10_ns": ..., "p90_ns": ...},
+//        "reps": 25, "median_ns": ..., "p10_ns": ..., "p90_ns": ...,
+//        "extra": {"gbps": 9.1, ...}},
 //       ...
 //     ],
 //     "notes": {"speedup_at_64": 0.63, ...}
@@ -63,10 +64,14 @@ class JsonReport {
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;
 
-  /// `shape` entries are recorded verbatim as a JSON object.
+  /// `shape` entries are recorded verbatim as a JSON object. A case's
+  /// identity is its name plus its shape (tools/bench/compare.py matches
+  /// on both), so shape holds only sizes, never measurements; measured
+  /// side values (bytes, GB/s, percentiles) go in `extra`.
   void add(const std::string& case_name,
            const std::vector<std::pair<std::string, double>>& shape,
-           const Stat& stat);
+           const Stat& stat,
+           const std::vector<std::pair<std::string, double>>& extra = {});
 
   /// Free-form scalar attached at the top level (speedups, thread counts...).
   void note(const std::string& key, double value);
@@ -79,6 +84,7 @@ class JsonReport {
     std::string name;
     std::vector<std::pair<std::string, double>> shape;
     Stat stat;
+    std::vector<std::pair<std::string, double>> extra;
   };
   std::string name_;
   std::vector<Case> cases_;

@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   std::printf("=== Warning center (online side of the deployment split) ===\n");
   Stopwatch boot;
   DigitalTwin twin = DigitalTwin::load_offline(bundle_path);
-  const StreamingEngine engine =
-      twin.make_streaming({.track_map = true}, &twin.timers());
+  const StreamingEngine engine = twin.make_streaming(&twin.timers());
   const double boot_seconds = boot.seconds();
 
   const std::size_t nt = engine.num_ticks();
@@ -74,7 +73,11 @@ int main(int argc, char** argv) {
 
   // --- streaming alert loop (the PR-2 real-time front door) -----------------
   StreamingAssimilator assim = engine.start();
-  TextTable table({"t [s]", "push", "peak fc [m]", "95% band", "state"});
+  TextTable table(
+      {"t [s]", "push", "peak fc [m]", "95% band", "MAP uplift [m]", "state"});
+  // The seafloor field is a display product, off the alert path: refresh it
+  // on demand every few ticks (and at the end), never per push.
+  constexpr std::size_t kDisplayEvery = 4;
   double alert_seconds = -1.0;
   std::size_t above_threshold_streak = 0;
   for (std::size_t tick = 0; tick < nt; ++tick) {
@@ -93,11 +96,18 @@ int main(int argc, char** argv) {
     char band[48];
     std::snprintf(band, sizeof(band), "[%+.3f, %+.3f]", fc.lower95[jmax],
                   fc.upper95[jmax]);
+    char uplift[32] = "";
+    if ((tick + 1) % kDisplayEvery == 0 || tick + 1 == nt) {
+      const auto b = twin.displacement_field(assim.map_snapshot());
+      std::snprintf(uplift, sizeof(uplift), "%+.3f",
+                    *std::max_element(b.begin(), b.end()));
+    }
     table.row()
         .cell(static_cast<double>(tick + 1) * dt, 0)
         .cell(format_duration(assim.last_push_seconds()))
         .cell(fc.mean[jmax], 3)
         .cell(band)
+        .cell(uplift)
         .cell(alert ? (alert_seconds == static_cast<double>(tick + 1) * dt
                            ? ">>> ALERT <<<"
                            : "alert")

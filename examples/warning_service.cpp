@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   }
 
   Stopwatch boot;
-  EngineCache cache({.track_map = false});
+  EngineCache cache;
   const auto engine = cache.load(bundle_path);
   std::printf("[online] warm boot from %s: %s to streaming-ready\n",
               bundle_path.c_str(), format_duration(boot.seconds()).c_str());

@@ -355,12 +355,10 @@ InversionResult DigitalTwin::infer(std::span<const double> d_obs) const {
   return out;
 }
 
-StreamingEngine DigitalTwin::make_streaming(const StreamingOptions& options,
-                                            TimerRegistry* timers) const {
+StreamingEngine DigitalTwin::make_streaming(TimerRegistry* timers) const {
   if (!online_ready())
     throw std::logic_error("make_streaming: offline phases not complete");
-  return StreamingEngine(*posterior_, *predictor_, options, timers,
-                         offline_epoch_);
+  return StreamingEngine(*posterior_, *predictor_, timers, offline_epoch_);
 }
 
 std::vector<double> DigitalTwin::displacement_field(

@@ -176,14 +176,13 @@ class DigitalTwin {
 
   /// Build the streaming front door over the offline operators: an engine
   /// whose assimilators ingest one observation interval per push and
-  /// maintain the exact truncated posterior (rolling m_map + forecast) with
-  /// no refactorization. Requires phases 1-3; the twin must outlive the
+  /// maintain the exact truncated QoI posterior (rolling forecast; the MAP
+  /// field on demand) with no refactorization. Requires phases 1-3; the twin must outlive the
   /// engine, and the engine carries a lifetime token so violating that (or
   /// re-running the offline phases underneath it) throws std::logic_error
   /// instead of slicing freed state. See src/core/streaming_assimilator.hpp
   /// for the prefix-Cholesky argument.
   [[nodiscard]] StreamingEngine make_streaming(
-      const StreamingOptions& options = {},
       TimerRegistry* timers = nullptr) const;
 
   // ---- diagnostics ---------------------------------------------------------

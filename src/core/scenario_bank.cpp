@@ -302,12 +302,9 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
     res.final_forecast_error =
         DigitalTwin::relative_error(q_final, ev.q_true);
     res.final_forecast_correlation = correlation(q_final, ev.q_true);
-    res.map_tracked = engine.tracks_map();
-    if (res.map_tracked) {
-      const auto b_true = twin_.displacement_field(ev.m_true);
-      const auto b_map = twin_.displacement_field(assim.map_estimate());
-      res.displacement_correlation = correlation(b_map, b_true);
-    }
+    const auto b_true = twin_.displacement_field(ev.m_true);
+    const auto b_map = twin_.displacement_field(assim.map_snapshot());
+    res.displacement_correlation = correlation(b_map, b_true);
   };
 
   if (parallel) {
@@ -352,12 +349,8 @@ std::string StreamingSweepReport::table() const {
         .cell(format_duration(r.mean_push_seconds))
         .cell(format_duration(r.max_push_seconds))
         .cell(r.final_forecast_error, 3)
-        .cell(r.final_forecast_correlation, 3);
-    if (r.map_tracked) {
-      t.cell(r.displacement_correlation, 3);
-    } else {
-      t.cell("n/a");
-    }
+        .cell(r.final_forecast_correlation, 3)
+        .cell(r.displacement_correlation, 3);
   }
   t.row()
       .cell("sweep mean")

@@ -30,8 +30,8 @@ TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
 /// out += slab[p0:p1, :]^T z[p0:p1] — the per-tick truncated-posterior
 /// accumulation. Column-tiled so the output tile stays in L1 across all
 /// block rows: the naive row-by-row axpy re-streams the whole output vector
-/// (Nm Nt doubles) once per sensor, which dominated push latency for the
-/// MAP slab. The slab rows themselves are read exactly once either way.
+/// once per sensor. The slab rows themselves are read exactly once either
+/// way.
 TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
                                             const std::vector<double>& z,
                                             std::size_t p0, std::size_t p1,
@@ -76,14 +76,12 @@ TSUNAMI_HOT_PATH void accumulate_block_rows_many(
 
 StreamingEngine::StreamingEngine(const Posterior& posterior,
                                  const QoiPredictor& predictor,
-                                 const StreamingOptions& options,
                                  TimerRegistry* timers,
                                  std::shared_ptr<const void> lifetime)
     : post_(posterior),
       pred_(predictor),
       lifetime_(lifetime),
       guarded_(lifetime != nullptr),
-      opts_(options),
       nd_(posterior.forward_map().block_rows()),
       nt_(posterior.time_dim()),
       n_(posterior.data_dim()),
@@ -138,26 +136,6 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
           std::sqrt(std::max(0.0, cov_q(i, i)) + tail[i]);
   }
 
-  if (opts_.track_map) {
-    // W* = L^{-1} F Gamma_prior, materialized row-major so each tick's block
-    // rows are contiguous slabs. Built as (Gamma_prior F^T L^{-T})^T from
-    // backward solves on unit vectors — n of them, not Nm*Nt. Scoped so the
-    // n x n triangular inverse is freed before the slab transpose (the
-    // transient peak is the largest allocation in the program).
-    Matrix gstar_cols;  // (Nm Nt) x n
-    {
-      Matrix linv_t(n_, n_);  // columns: L^{-T} e_j
-      parallel_for_min(n_, 4, [&](std::size_t j) {
-        std::vector<double> col(n_, 0.0);
-        col[j] = 1.0;
-        chol.backward_solve_in_place(col);
-        for (std::size_t i = 0; i < n_; ++i) linv_t(i, j) = col[i];
-      });
-      post_.apply_gstar_many(linv_t, gstar_cols);
-    }
-    wstar_ = gstar_cols.transposed();
-  }
-
   precompute_seconds_ = watch.seconds();
   if (timers) timers->add("streaming: precompute", precompute_seconds_);
 }
@@ -180,7 +158,7 @@ StreamingEngine StreamingEngine::reduced(const SensorMask& mask) const {
   if (mask.size() != nd_)
     throw std::invalid_argument(
         "StreamingEngine::reduced: mask size != channel count");
-  StreamingEngine out(post_, pred_, opts_, nullptr, lifetime_.lock());
+  StreamingEngine out(post_, pred_, nullptr, lifetime_.lock());
   out.apply_mask(mask);
   return out;
 }
@@ -209,23 +187,19 @@ void StreamingEngine::apply_mask(const SensorMask& mask) {
   // R = L^{-1} V); its dropped rows are zeroed (those rows of F no longer
   // exist) and the reduced R' = L'^{-1} V' re-solved column-free via the
   // multi-RHS forward substitution.
-  const auto resolve_slab = [&](Matrix& slab) {
-    Matrix v(n_, slab.cols());
-    parallel_for_min(n_, 8, [&](std::size_t i) {
-      if (mask.masked(i % nd_)) return;  // row dies below; skip the product
-      auto out_row = v.row(i);
-      for (std::size_t j = 0; j <= i; ++j) {
-        const double lij = l(i, j);
-        const auto srow = slab.row(j);
-        for (std::size_t c = 0; c < out_row.size(); ++c)
-          out_row[c] += lij * srow[c];
-      }
-    });
-    chol.forward_solve_in_place(v);
-    slab = std::move(v);
-  };
-  resolve_slab(r_);
-  if (opts_.track_map) resolve_slab(wstar_);
+  Matrix v(n_, nqoi_);
+  parallel_for_min(n_, 8, [&](std::size_t i) {
+    if (mask.masked(i % nd_)) return;  // row dies below; skip the product
+    auto out_row = v.row(i);
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double lij = l(i, j);
+      const auto srow = r_.row(j);
+      for (std::size_t c = 0; c < out_row.size(); ++c)
+        out_row[c] += lij * srow[c];
+    }
+  });
+  chol.forward_solve_in_place(v);
+  r_ = std::move(v);
 
   // Credible-interval schedule of the reduced network: the prior QoI
   // variance (schedule row 0, data-independent hence mask-independent)
@@ -257,7 +231,6 @@ StreamingAssimilator::StreamingAssimilator(const StreamingEngine& engine)
     : eng_(engine),
       z_(engine.data_dim(), 0.0),
       q_mean_(engine.qoi_dim(), 0.0),
-      m_map_(engine.tracks_map() ? engine.parameter_dim() : 0, 0.0),
       mask_(engine.block_size()) {}
 
 TSUNAMI_HOT_PATH void StreamingAssimilator::stage_block(
@@ -324,15 +297,13 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
   // Extend z = L^{-1} d by one block row (causality of forward substitution).
   eng_.chol().forward_solve_range(z_, p0, p1);
   // Extend the dead-row projection over the new rows before anything reads
-  // it (the accumulators below are projection-agnostic: corrections are
-  // applied at forecast/map read time, never folded into q_mean_/m_map_).
+  // it (the accumulator below is projection-agnostic: corrections are
+  // applied at forecast/map read time, never folded into q_mean_).
   if (!dead_.empty() || tick_has_new_dead(valid))
     advance_degraded(p0, p1, valid);
   // Accumulate the new block's contribution to the truncated posterior,
   // column-tiled (one output sweep per tick, not one per sensor).
   accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
-  if (eng_.tracks_map())
-    accumulate_block_rows(eng_.wstar_, z_, p0, p1, m_map_);
   ++t_;
   last_push_seconds_ = watch.seconds();
   total_push_seconds_ += last_push_seconds_;
@@ -356,7 +327,7 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
 //
 // so the corrected posterior reads  q' = q_mean - G S^{-1} h  and
 // var' = schedule^2 + diag(G S^{-1} G^T): read-time corrections, with
-// q_mean_/m_map_/z_ never mutated — which is what makes a drop/restore
+// q_mean_/z_ never mutated — which is what makes a drop/restore
 // cycle return the assimilator bitwise to its pristine state.
 //
 // Per tick the state advances incrementally: each Y column extends by one
@@ -586,13 +557,12 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
       ev->advance_degraded(p0, p1, valid_of(k));
   });
 
-  // One sweep over each slab's new block rows serves every event. The
+  // One sweep over the R slab's new block rows serves every event. The
   // pointer tables live in thread_local scratch that grows to the largest
   // batch this thread has seen and is then reused, so steady-state batched
   // pushes stay allocation-free (proved by tests/test_debug.cpp).
   static thread_local std::vector<const double*> zs;
   static thread_local std::vector<double*> q_outs;
-  static thread_local std::vector<double*> m_outs;
   zs.resize(nk);      // lint: allow(hot-path-alloc) grow-once scratch
   q_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
   for (std::size_t k = 0; k < nk; ++k) {
@@ -602,13 +572,6 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
   accumulate_block_rows_many(eng.r_, p0, p1,
                              std::span<const double* const>(zs),
                              std::span<double* const>(q_outs));
-  if (eng.tracks_map()) {
-    m_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
-    for (std::size_t k = 0; k < nk; ++k) m_outs[k] = events[k]->m_map_.data();
-    accumulate_block_rows_many(eng.wstar_, p0, p1,
-                               std::span<const double* const>(zs),
-                               std::span<double* const>(m_outs));
-  }
 
   const double per_event = watch.seconds() / static_cast<double>(nk);
   for (std::size_t k = 0; k < nk; ++k) {
@@ -668,29 +631,6 @@ Forecast StreamingAssimilator::forecast() const {
   return fc;
 }
 
-const std::vector<double>& StreamingAssimilator::map_estimate() const {
-  if (!eng_.tracks_map())
-    throw std::logic_error(
-        "StreamingAssimilator::map_estimate: engine built with track_map off "
-        "(use map_snapshot)");
-  if (dead_.empty()) return m_map_;
-  // m' = m_map - W*^T (Y S^{-1} h): one slab sweep over the rows at or
-  // below the first dead row, materialized into the correction cache.
-  compute_projection_coeffs();
-  const std::size_t p = t_ * eng_.block_size();
-  const std::size_t first = dead_.front().row;
-  m_corr_.assign(m_map_.begin(), m_map_.end());
-  proj_scratch_.assign(z_.size(), 0.0);
-  for (std::size_t j = 0; j < dead_.size(); ++j) {
-    const DeadRow& dr = dead_[j];
-    const double cj = c_scratch_[j];
-    for (std::size_t i = dr.row; i < p; ++i)
-      proj_scratch_[i] -= cj * dr.y[i];
-  }
-  accumulate_block_rows(eng_.wstar_, proj_scratch_, first, p, m_corr_);
-  return m_corr_;
-}
-
 std::vector<double> StreamingAssimilator::map_snapshot() const {
   eng_.check_alive("StreamingAssimilator::map_snapshot");
   const std::size_t p = t_ * eng_.block_size();
@@ -725,7 +665,6 @@ void StreamingAssimilator::reset() {
   t_ = 0;
   std::fill(z_.begin(), z_.end(), 0.0);
   std::fill(q_mean_.begin(), q_mean_.end(), 0.0);
-  std::fill(m_map_.begin(), m_map_.end(), 0.0);
   mask_ = SensorMask(eng_.block_size());
   dead_.clear();
   s_chol_.reset();

@@ -23,29 +23,34 @@
 //  3. Forward substitution is causal: z = L^{-1} d satisfies z[0:p] =
 //     L_p^{-1} d[0:p]. Each tick only *extends* the cached z by one block
 //     row (DenseCholesky::forward_solve_range) — O(Nd^2 t) work.
-//  4. The non-causal backward substitution is eliminated by baking L^{-T}
-//     into the offline operators: with
-//         R  = L^{-1} V            (V = F Gamma_prior Fq^T),
-//         W* = L^{-1} F Gamma_prior,
-//     the truncated posterior at tick t is a running sum over block rows,
-//         q_map(t)   = R[0:p,:]^T  z[0:p]      (p = t Nd),
-//         m_map(t)   = W*[0:p,:]^T z[0:p],
+//  4. The non-causal backward substitution is eliminated from the forecast
+//     by baking L^{-T} into the offline data-to-QoI operator: with
+//         R = L^{-1} V            (V = F Gamma_prior Fq^T),
+//     the truncated QoI posterior at tick t is a running sum over block rows,
+//         q_map(t)         = R[0:p,:]^T z[0:p]      (p = t Nd),
 //         Gamma_post(q, t) = W - R[0:p,:]^T R[0:p,:],
 //     because the leading block of the inverse of a triangular matrix is
 //     the inverse of its leading block. Each push adds one block row:
-//     O(Nd (Nq Nt + Nm Nt)) flops, *constant* in the tick index.
+//     O(t Nd^2) forward substitution plus O(Nd Nq) slab accumulation.
+//
+// The online phase is goal-oriented (Henneking, Venkat & Ghattas,
+// arXiv:2501.14911): the QoI forecast is the product, so only the
+// data-to-QoI slab R is kept. The parameter field m_map(t) is a display
+// product, recovered exactly on demand by map_snapshot() (prefix backward
+// substitution plus one G* lift) — a parameter-space slab L^{-1} F
+// Gamma_prior would be (Nd Nt) x (Nm Nt), which cannot exist at scale.
 //
 // The credible-interval schedule Gamma_post(q, t) is data-independent, so
 // the engine precomputes the whole stddev-vs-tick table once; streaming an
-// event costs only the forward-substitution extension plus two slab
-// matvecs per tick.
+// event costs only the forward-substitution extension plus one slab
+// accumulation per tick.
 //
 // Split of responsibilities:
-//   StreamingEngine      — immutable per-network precompute (R, W*, the CI
+//   StreamingEngine      — immutable per-network precompute (R, the CI
 //                          schedule); shared by any number of concurrent
 //                          event streams (ScenarioBank::run_streaming).
-//   StreamingAssimilator — per-event mutable state (z, rolling m_map and
-//                          q_map); cheap to create, reset, and replay.
+//   StreamingAssimilator — per-event mutable state (z, rolling q_map);
+//                          cheap to create, reset, and replay.
 
 #include <cstddef>
 #include <cstdint>
@@ -61,14 +66,6 @@
 #include "util/timer.hpp"
 
 namespace tsunami {
-
-struct StreamingOptions {
-  /// Maintain the rolling MAP estimate m_map(t) incrementally. Costs an
-  /// extra (Nd Nt) x (Nm Nt) dense operator offline (the baked
-  /// Gamma_prior F^T L^{-T}) and one slab matvec per tick. With tracking
-  /// off, map_snapshot() still recovers m_map(t) on demand in O(p^2).
-  bool track_map = true;
-};
 
 class StreamingAssimilator;
 
@@ -90,7 +87,6 @@ class StreamingEngine {
   /// Engines built without a token (direct construction in tests) keep the
   /// legacy unguarded contract.
   StreamingEngine(const Posterior& posterior, const QoiPredictor& predictor,
-                  const StreamingOptions& options = {},
                   TimerRegistry* timers = nullptr,
                   std::shared_ptr<const void> lifetime = {});
 
@@ -100,7 +96,7 @@ class StreamingEngine {
   /// From-scratch reduced-network engine: the streaming precompute rebuilt
   /// as if the masked channels never existed. The dropped rows of the
   /// data-space Hessian are decoupled to pure noise via the O(r n^2)
-  /// rank-2 factor edits (DataSpaceHessian::decouple_channels), the slabs
+  /// rank-2 factor edits (DataSpaceHessian::decouple_channels), the slab
   /// re-solved against the decoupled factor, and the credible-interval
   /// schedule rebuilt — so assimilators started from the result compute the
   /// exact posterior of the surviving network. This is the oracle that
@@ -121,14 +117,16 @@ class StreamingEngine {
   [[nodiscard]] std::size_t parameter_dim() const { return np_; }
   [[nodiscard]] std::size_t qoi_dim() const { return nqoi_; }
 
-  [[nodiscard]] bool tracks_map() const { return opts_.track_map; }
-  [[nodiscard]] const StreamingOptions& options() const { return opts_; }
   [[nodiscard]] double precompute_seconds() const { return precompute_seconds_; }
 
   /// Posterior QoI stddev after `ticks` observation intervals (0 = prior).
   /// Data-independent, hence precomputed for every tick: this is the
   /// credible-interval shrink schedule of the sensor network itself.
   [[nodiscard]] std::span<const double> stddev_after(std::size_t ticks) const;
+
+  /// The forecast slab R = L^{-1} V, (Nd Nt) x nqoi, row-major: block row t
+  /// is what tick t's push accumulates (bench_streaming times that layer).
+  [[nodiscard]] const Matrix& forecast_slab() const { return r_; }
 
   [[nodiscard]] const Posterior& posterior() const { return post_; }
   [[nodiscard]] const QoiPredictor& predictor() const { return pred_; }
@@ -152,17 +150,15 @@ class StreamingEngine {
                          : post_.hessian().cholesky();
   }
 
-  /// reduced(): rebuild the slabs/schedule against the decoupled factor.
+  /// reduced(): rebuild the slab/schedule against the decoupled factor.
   void apply_mask(const SensorMask& mask);
 
   const Posterior& post_;
   const QoiPredictor& pred_;
   std::weak_ptr<const void> lifetime_;
   bool guarded_ = false;
-  StreamingOptions opts_;
   std::size_t nd_, nt_, n_, np_, nqoi_;
   Matrix r_;             ///< L^{-1} V, (Nd Nt) x nqoi; row j contiguous
-  Matrix wstar_;         ///< L^{-1} F Gamma_prior, (Nd Nt) x (Nm Nt) (if track_map)
   Matrix std_schedule_;  ///< (Nt + 1) x nqoi; row t = stddev after t ticks
   SensorMask mask_;      ///< channels this engine was reduced without
   /// Decoupled-factor hessian of a reduced() engine (null on full-network
@@ -180,7 +176,7 @@ class StreamingAssimilator {
   /// Ingest observation interval `tick` (must be ticks_received(): intervals
   /// arrive in order at 1 Hz in deployment; gaps/reordering are the
   /// transport layer's problem). `d_block` holds the Nd sensor values of
-  /// that interval. Updates z, q_map, and (if tracked) m_map incrementally.
+  /// that interval. Updates z and q_map incrementally.
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block);
 
   /// As push(), but with a per-channel validity bitmap (`valid[c] != 0`
@@ -195,11 +191,10 @@ class StreamingAssimilator {
                              std::span<const std::uint8_t> valid);
 
   /// Batched cross-event push: assimilate interval `tick` for K events at
-  /// once. All assimilators must share the SAME engine (the slabs are
+  /// once. All assimilators must share the SAME engine (the slab is
   /// immutable and shared) and all must be exactly at `tick`; blocks[k] is
-  /// event k's Nd-vector. One pass over the slab block rows serves every
-  /// event — the slab is the bandwidth bottleneck of a push, so K events
-  /// cost barely more than one. Bit-identical to K serial push() calls:
+  /// event k's Nd-vector. One pass over the R slab's block rows serves every
+  /// event. Bit-identical to K serial push() calls:
   /// the batched accumulation performs, per (event, output) pair, the same
   /// additions in the same j-ascending order as the single-event path
   /// (asserted by the determinism and service suites). K == 1 degenerates
@@ -216,7 +211,7 @@ class StreamingAssimilator {
       std::span<const std::span<const std::uint8_t>> valids);
 
   // ---- degraded-mode control plane (ISSUE 10) ------------------------------
-  // Sensor dropout does NOT touch the engine: the shared slabs and factor
+  // Sensor dropout does NOT touch the engine: the shared slab and factor
   // stay immutable (other sessions keep streaming through them), and this
   // assimilator instead maintains an exact low-rank Woodbury correction over
   // its dead observation rows, advanced incrementally per tick via the
@@ -263,15 +258,11 @@ class StreamingAssimilator {
   /// forecast(); no allocation).
   [[nodiscard]] const std::vector<double>& qoi_mean() const { return q_mean_; }
 
-  /// Rolling MAP estimate m_map(t). Requires an engine with track_map.
-  /// When degraded, returns the projection-corrected estimate (materialized
-  /// on demand into a per-assimilator cache — O(p Nm Nt), so callers on the
-  /// hot publish path should prefer forecast_into, which never needs it).
-  [[nodiscard]] const std::vector<double>& map_estimate() const;
-
-  /// On-demand MAP estimate via prefix backward substitution — O(p^2) but
-  /// needs no baked parameter-space operator. Identical (to roundoff) to
-  /// map_estimate(); the cross-check between the two paths is tested.
+  /// MAP parameter estimate m_map(t) given the data so far, computed on
+  /// demand: prefix backward substitution plus one G* lift on the prefix —
+  /// O(p^2) plus a Toeplitz apply, with no parameter-space slab. When
+  /// degraded, the dead rows are projected out first, so this is the exact
+  /// reduced-network MAP. Meant for display cadence, not the publish path.
   [[nodiscard]] std::vector<double> map_snapshot() const;
 
   [[nodiscard]] double last_push_seconds() const { return last_push_seconds_; }
@@ -319,7 +310,6 @@ class StreamingAssimilator {
   std::size_t t_ = 0;
   std::vector<double> z_;       ///< L^{-1} d prefix, extended causally
   std::vector<double> q_mean_;  ///< R[0:p,:]^T z[0:p]
-  std::vector<double> m_map_;   ///< W*[0:p,:]^T z[0:p] (if tracked)
 
   // Degraded-mode state (all empty on the healthy path).
   SensorMask mask_;              ///< currently dropped channels
@@ -329,8 +319,6 @@ class StreamingAssimilator {
   std::vector<double> u_scratch_;          ///< rank-1 update staging (r)
   mutable std::vector<double> c_scratch_;  ///< S^{-1} h (r)
   mutable std::vector<double> var_scratch_;  ///< per-QoI S^{-1} G^T column (r)
-  mutable std::vector<double> proj_scratch_;  ///< -Y S^{-1} h staging (n)
-  mutable std::vector<double> m_corr_;     ///< corrected MAP cache
   /// map_snapshot scratch: the prefix backward-substitution vector and the
   /// Toeplitz/prior workspace for the prefix G* lift. mutable because the
   /// snapshot is logically const; the assimilator is single-caller by

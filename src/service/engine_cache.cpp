@@ -20,14 +20,10 @@ std::shared_ptr<const DigitalTwin> require_online(
 
 }  // namespace
 
-CachedEngine::CachedEngine(std::shared_ptr<const DigitalTwin> twin,
-                           const StreamingOptions& options)
+CachedEngine::CachedEngine(std::shared_ptr<const DigitalTwin> twin)
     : twin_(require_online(std::move(twin))),
       fingerprint_(twin_->config().fingerprint()),
-      engine_(twin_->make_streaming(options)) {}
-
-EngineCache::EngineCache(const StreamingOptions& options)
-    : options_(options) {}
+      engine_(twin_->make_streaming()) {}
 
 std::shared_ptr<const CachedEngine> EngineCache::load(
     const std::string& bundle_path) {
@@ -57,7 +53,7 @@ std::shared_ptr<const CachedEngine> EngineCache::load(
   // lock, so a slow boot of one network never stalls sessions on another.
   auto twin = std::make_shared<const DigitalTwin>(bundle);
   return insert_or_get(
-      std::make_shared<const CachedEngine>(std::move(twin), options_));
+      std::make_shared<const CachedEngine>(std::move(twin)));
 }
 
 std::shared_ptr<const CachedEngine> EngineCache::adopt(
@@ -70,8 +66,7 @@ std::shared_ptr<const CachedEngine> EngineCache::adopt(
     auto it = engines_.find(fp);
     if (it != engines_.end()) return it->second;
   }
-  return insert_or_get(
-      std::make_shared<const CachedEngine>(std::move(twin), options_));
+  return insert_or_get(std::make_shared<const CachedEngine>(std::move(twin)));
 }
 
 std::shared_ptr<const CachedEngine> EngineCache::find(

@@ -3,8 +3,8 @@
 // EngineCache: one immutable StreamingEngine per sensor network, shared by
 // every concurrent event session.
 //
-// The offline products (F, L, Q, Gamma_post(q)) and the streaming slabs
-// baked from them (R, W*) are by far the largest allocations in the online
+// The offline products (F, L, Q, Gamma_post(q)) and the streaming slab
+// baked from them (R) are by far the largest allocations in the online
 // system, and they are event-independent: a warning service tracking
 // hundreds of simultaneous events over the same network must hold exactly
 // one copy. The cache keys engines by TwinConfig::fingerprint() — the same
@@ -33,8 +33,7 @@ namespace tsunami {
 /// single CachedEngine; everything reachable from it is const.
 class CachedEngine {
  public:
-  CachedEngine(std::shared_ptr<const DigitalTwin> twin,
-               const StreamingOptions& options);
+  explicit CachedEngine(std::shared_ptr<const DigitalTwin> twin);
 
   [[nodiscard]] const DigitalTwin& twin() const { return *twin_; }
   [[nodiscard]] const StreamingEngine& engine() const { return engine_; }
@@ -43,16 +42,12 @@ class CachedEngine {
  private:
   std::shared_ptr<const DigitalTwin> twin_;  ///< keeps the operators alive
   std::uint64_t fingerprint_;
-  StreamingEngine engine_;  ///< slabs over *twin_; built after twin_
+  StreamingEngine engine_;  ///< slab over *twin_; built after twin_
 };
 
 /// Thread-safe registry of CachedEngines keyed by config fingerprint.
 class EngineCache {
  public:
-  /// `options` apply to every engine the cache builds (a service that needs
-  /// both a MAP-tracking and a lean engine uses two caches).
-  explicit EngineCache(const StreamingOptions& options = {});
-
   /// Boot-or-reuse from an artifact bundle file. A known path is a pure
   /// map lookup; a new path is read + checksummed only far enough to learn
   /// its fingerprint, and a fingerprint hit skips the twin boot and slab
@@ -85,7 +80,6 @@ class EngineCache {
   [[nodiscard]] std::shared_ptr<const CachedEngine> insert_or_get(
       std::shared_ptr<const CachedEngine> candidate);
 
-  StreamingOptions options_;
   mutable std::mutex mutex_;
   std::map<std::uint64_t, std::shared_ptr<const CachedEngine>> engines_;
   /// Memo of bundle path -> fingerprint so repeat load()s skip file I/O.

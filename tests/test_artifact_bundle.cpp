@@ -104,8 +104,8 @@ TEST_F(ArtifactBundleTest, WarmInferBitIdenticalToCold) {
 }
 
 TEST_F(ArtifactBundleTest, WarmStreamingPushBitIdenticalToCold) {
-  const StreamingEngine cold_eng = twin_->make_streaming({.track_map = true});
-  const StreamingEngine warm_eng = warm_->make_streaming({.track_map = true});
+  const StreamingEngine cold_eng = twin_->make_streaming();
+  const StreamingEngine warm_eng = warm_->make_streaming();
   StreamingAssimilator cold_assim = cold_eng.start();
   StreamingAssimilator warm_assim = warm_eng.start();
   const std::size_t nd = cold_eng.block_size();
@@ -117,8 +117,8 @@ TEST_F(ArtifactBundleTest, WarmStreamingPushBitIdenticalToCold) {
     const auto& qw = warm_assim.qoi_mean();
     for (std::size_t i = 0; i < qc.size(); ++i)
       ASSERT_EQ(qw[i], qc[i]) << "tick " << t << " qoi " << i;
-    const auto& mc = cold_assim.map_estimate();
-    const auto& mw = warm_assim.map_estimate();
+    const auto mc = cold_assim.map_snapshot();
+    const auto mw = warm_assim.map_snapshot();
     for (std::size_t i = 0; i < mc.size(); ++i)
       ASSERT_EQ(mw[i], mc[i]) << "tick " << t << " m_map " << i;
     const auto sc = cold_eng.stddev_after(t + 1);
@@ -322,7 +322,7 @@ TEST(ArtifactBundleRoundTrip, SectionsSurviveSaveLoad) {
 
 TEST_F(ArtifactBundleTest, EngineOutlivingItsTwinThrowsInsteadOfDangling) {
   auto victim = std::make_unique<DigitalTwin>(DigitalTwin::load_offline(*path_));
-  const StreamingEngine engine = victim->make_streaming({.track_map = false});
+  const StreamingEngine engine = victim->make_streaming();
   StreamingAssimilator assim = engine.start();
   assim.push(0, std::span<const double>(event_->d_obs)
                     .first(engine.block_size()));

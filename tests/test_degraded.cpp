@@ -48,7 +48,7 @@ class DegradedTest : public ::testing::Test {
     event_ = new SyntheticEvent(twin->synthesize(RuptureScenario(rc), rng));
     twin->run_offline(event_->noise);
     twin_ = new std::shared_ptr<const DigitalTwin>(std::move(twin));
-    cache_ = new EngineCache({.track_map = true});
+    cache_ = new EngineCache();
     cached_ = new std::shared_ptr<const CachedEngine>(cache_->adopt(*twin_));
   }
   static void TearDownTestSuite() {
@@ -104,7 +104,7 @@ class DegradedTest : public ::testing::Test {
   static bool states_bitwise_equal(StreamingAssimilator& a,
                                    StreamingAssimilator& b) {
     const Forecast fa = a.forecast(), fb = b.forecast();
-    const std::vector<double> ma = a.map_estimate(), mb = b.map_estimate();
+    const std::vector<double> ma = a.map_snapshot(), mb = b.map_snapshot();
     return fa.degraded == fb.degraded &&
            fa.dropped_channels == fb.dropped_channels &&
            std::memcmp(fa.mean.data(), fb.mean.data(),
@@ -145,8 +145,8 @@ TEST_F(DegradedTest, DropMidStreamMatchesReducedEngineFromScratch) {
   StreamingAssimilator oracle = reduced.start();
   for (std::size_t t = 0; t < nt(); ++t) oracle.push(t, block(t));
 
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(),
-                                        oracle.map_estimate()),
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(),
+                                        oracle.map_snapshot()),
             1e-10);
   const Forecast fc = assim.forecast(), fo = oracle.forecast();
   EXPECT_LE(DigitalTwin::relative_error(fc.mean, fo.mean), 1e-10);
@@ -172,8 +172,8 @@ TEST_F(DegradedTest, DropAgreesWithReducedEngineAtEveryTick) {
     assim.push(t, block(t));
     oracle.push(t, block(t));
     if (t < drop_at) continue;
-    EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(),
-                                          oracle.map_estimate()),
+    EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(),
+                                          oracle.map_snapshot()),
               1e-10)
         << "tick " << t;
     EXPECT_LE(DigitalTwin::relative_error(assim.forecast().mean,
@@ -192,7 +192,7 @@ TEST_F(DegradedTest, DropAfterFullStreamMatchesMaskedPosteriorOracle) {
   mask.drop(2 % nd());
   const std::vector<double> m_ref =
       twin().posterior().map_point_masked(event_->d_obs, mask);
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(), m_ref), 1e-10);
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(), m_ref), 1e-10);
 }
 
 TEST_F(DegradedTest, ReducedEngineFullStreamMatchesMaskedPosteriorOracle) {
@@ -204,7 +204,7 @@ TEST_F(DegradedTest, ReducedEngineFullStreamMatchesMaskedPosteriorOracle) {
 
   const std::vector<double> m_ref =
       twin().posterior().map_point_masked(event_->d_obs, mask);
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(), m_ref), 1e-10);
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(), m_ref), 1e-10);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,8 +260,8 @@ TEST_F(DegradedTest, DropBeforeFirstPushMatchesReducedEngine) {
   const StreamingEngine reduced = engine().reduced(mask);
   StreamingAssimilator oracle = reduced.start();
   for (std::size_t t = 0; t < nt(); ++t) oracle.push(t, block(t));
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(),
-                                        oracle.map_estimate()),
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(),
+                                        oracle.map_snapshot()),
             1e-10);
 }
 
@@ -286,7 +286,7 @@ TEST_F(DegradedTest, InvalidChannelsOfOneTickMatchBruteForceOracle) {
   EXPECT_EQ(assim.dropped_channels(), 0u);  // no standing mask, one dead row
 
   const std::set<std::size_t> dead = {bad_tick * nd() + 0};
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(),
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(),
                                         oracle_map(ticks, dead)),
             1e-10);
 }
@@ -306,7 +306,7 @@ TEST_F(DegradedTest, WholeBlockLossMatchesBruteForceOracle) {
       assim.push(t, block(t));
     }
   }
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(),
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(),
                                         oracle_map(ticks, dead)),
             1e-10);
 }
@@ -330,7 +330,7 @@ TEST_F(DegradedTest, RestoreAfterMaskedInterimMatchesBruteForceOracle) {
   }
   EXPECT_TRUE(assim.degraded());          // permanent dead rows remain
   EXPECT_EQ(assim.dropped_channels(), 0u);  // but no standing mask
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(),
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(),
                                         oracle_map(ticks, dead)),
             1e-10);
 }

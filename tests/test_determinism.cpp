@@ -67,7 +67,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     Rng rng(5);
     event_ = new SyntheticEvent(twin_->synthesize(RuptureScenario(rc), rng));
     twin_->run_offline(event_->noise);
-    engine_ = new StreamingEngine(twin_->make_streaming({.track_map = true}));
+    engine_ = new StreamingEngine(twin_->make_streaming());
 
     ref_infer_ = new InversionResult(twin_->infer(event_->d_obs));
 
@@ -160,7 +160,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
       const std::vector<double> d = obs(e);
       for (std::size_t t = 0; t < engine_->num_ticks(); ++t)
         assim.push(t, block(d, t));
-      out.push_back(assim.map_estimate());
+      out.push_back(assim.map_snapshot());
     }
     return out;
   }
@@ -258,7 +258,7 @@ TEST_P(WorkerCountTest, BatchedCrossEventPushMatchesSerialBitwise) {
     const Forecast f = batch[e].forecast();
     EXPECT_EQ(f.mean, (*ref_push_)[e].mean) << "event " << e;
     EXPECT_EQ(f.stddev, (*ref_push_)[e].stddev) << "event " << e;
-    EXPECT_EQ(batch[e].map_estimate(), (*ref_maps_)[e]) << "event " << e;
+    EXPECT_EQ(batch[e].map_snapshot(), (*ref_maps_)[e]) << "event " << e;
   }
 }
 

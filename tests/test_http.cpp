@@ -96,7 +96,7 @@ class HttpTest : public ::testing::Test {
     Rng rng(5);
     event_ = new SyntheticEvent(twin->synthesize(RuptureScenario(rc), rng));
     twin->run_offline(event_->noise);
-    cache_ = new EngineCache({.track_map = false});
+    cache_ = new EngineCache();
     cached_ = new std::shared_ptr<const CachedEngine>(cache_->adopt(twin));
   }
   static void TearDownTestSuite() {

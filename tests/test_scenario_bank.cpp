@@ -149,7 +149,7 @@ TEST_F(ScenarioBankTest, ParallelMatchesSerial) {
 }
 
 TEST_F(ScenarioBankTest, StreamingSweepConvergesToBatchForecasts) {
-  const StreamingEngine engine = twin_->make_streaming({.track_map = true});
+  const StreamingEngine engine = twin_->make_streaming();
   const StreamingSweepReport sweep = bank_->run_streaming(engine);
   const EnsembleReport batch = bank_->run_online();
   ASSERT_EQ(sweep.scenarios.size(), bank_->size());
@@ -187,7 +187,7 @@ TEST_F(ScenarioBankTest, StreamingSweepConvergesToBatchForecasts) {
 }
 
 TEST_F(ScenarioBankTest, StreamingSweepParallelMatchesSerial) {
-  const StreamingEngine engine = twin_->make_streaming({.track_map = false});
+  const StreamingEngine engine = twin_->make_streaming();
   const StreamingSweepReport par =
       bank_->run_streaming(engine, /*parallel=*/true);
   const StreamingSweepReport ser =
@@ -216,7 +216,7 @@ TEST(ScenarioBankErrors, MisuseThrows) {
 }
 
 TEST_F(ScenarioBankTest, StreamingSweepMisuseThrows) {
-  const StreamingEngine engine = twin_->make_streaming({.track_map = false});
+  const StreamingEngine engine = twin_->make_streaming();
   EXPECT_THROW((void)bank_->run_streaming(engine, true, 0.0),
                std::invalid_argument);
   ScenarioBank fresh(*twin_, bank_->specs());

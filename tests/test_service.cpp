@@ -45,7 +45,7 @@ class ServiceTest : public ::testing::Test {
     event_ = new SyntheticEvent(twin->synthesize(RuptureScenario(rc), rng));
     twin->run_offline(event_->noise);
     twin_ = new std::shared_ptr<const DigitalTwin>(std::move(twin));
-    cache_ = new EngineCache({.track_map = true});
+    cache_ = new EngineCache();
     cached_ = new std::shared_ptr<const CachedEngine>(cache_->adopt(*twin_));
   }
   static void TearDownTestSuite() {

@@ -1,8 +1,8 @@
 // Tests for the streaming assimilation engine: exact streaming/batch
 // equivalence at the final tick, exact truncated-posterior semantics
 // mid-stream (against explicit prefix solves), the monotone credible-interval
-// schedule, both MAP paths (incremental vs on-demand snapshot), replay
-// determinism, and input validation.
+// schedule, the on-demand MAP snapshot, replay determinism, and input
+// validation.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,7 @@ class StreamingTest : public ::testing::Test {
     event_ = new SyntheticEvent(
         twin_->synthesize(RuptureScenario(rc), rng));
     twin_->run_offline(event_->noise);
-    engine_ = new StreamingEngine(twin_->make_streaming({.track_map = true}));
+    engine_ = new StreamingEngine(twin_->make_streaming());
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -73,7 +73,6 @@ TEST_F(StreamingTest, EngineDimensionsMatchTwin) {
   EXPECT_EQ(engine_->parameter_dim(), twin_->parameter_dim());
   EXPECT_EQ(engine_->num_ticks(), twin_->time_grid().num_intervals);
   EXPECT_EQ(engine_->block_size() * engine_->num_ticks(), engine_->data_dim());
-  EXPECT_TRUE(engine_->tracks_map());
   EXPECT_GT(engine_->precompute_seconds(), 0.0);
 }
 
@@ -85,7 +84,7 @@ TEST_F(StreamingTest, FinalTickMatchesBatchInfer) {
   ASSERT_TRUE(assim.complete());
   const InversionResult batch = twin_->infer(event_->d_obs);
 
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(), batch.m_map),
+  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(), batch.m_map),
             1e-12);
   const Forecast fc = assim.forecast();
   EXPECT_LE(DigitalTwin::relative_error(fc.mean, batch.forecast.mean), 1e-12);
@@ -101,6 +100,10 @@ TEST_F(StreamingTest, FinalTickMatchesBatchInfer) {
 TEST_F(StreamingTest, MidStreamMatchesTruncatedPosterior) {
   const DenseCholesky& chol = twin_->hessian().cholesky();
   const std::size_t nd = engine_->block_size();
+  // Before any data the MAP is the prior mean: exactly zero.
+  const std::vector<double> m0 = stream(0).map_snapshot();
+  ASSERT_EQ(m0.size(), engine_->parameter_dim());
+  for (double v : m0) EXPECT_EQ(v, 0.0);
   for (const std::size_t ticks :
        {std::size_t{1}, engine_->num_ticks() / 2, engine_->num_ticks() - 1}) {
     const StreamingAssimilator assim = stream(ticks);
@@ -117,7 +120,7 @@ TEST_F(StreamingTest, MidStreamMatchesTruncatedPosterior) {
     std::vector<double> m_ref(twin_->parameter_dim());
     twin_->posterior().apply_gstar_prefix(u, ticks,
                                           std::span<double>(m_ref));
-    EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(), m_ref), 1e-11)
+    EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(), m_ref), 1e-11)
         << "ticks = " << ticks;
 
     // q(t) = V_p^T u = Fq Gamma_prior F_p^T u = Fq m(t): push the reference
@@ -165,39 +168,6 @@ TEST_F(StreamingTest, ForecastBandsTightenAsDataArrives) {
       EXPECT_NEAR(fc.mean[i] - fc.lower95[i], 1.96 * fc.stddev[i], 1e-12);
     }
   }
-}
-
-// Both MAP paths — the incremental slab accumulation and the on-demand
-// prefix backward-substitution snapshot — must agree mid-stream.
-TEST_F(StreamingTest, MapSnapshotMatchesIncrementalEstimate) {
-  for (const std::size_t ticks :
-       {std::size_t{0}, std::size_t{1}, engine_->num_ticks() / 2,
-        engine_->num_ticks()}) {
-    const StreamingAssimilator assim = stream(ticks);
-    const auto snapshot = assim.map_snapshot();
-    ASSERT_EQ(snapshot.size(), assim.map_estimate().size());
-    if (ticks == 0) {
-      for (double v : snapshot) EXPECT_EQ(v, 0.0);
-      continue;
-    }
-    EXPECT_LE(DigitalTwin::relative_error(snapshot, assim.map_estimate()),
-              1e-11)
-        << "ticks = " << ticks;
-  }
-}
-
-TEST_F(StreamingTest, NonTrackingEngineStillServesSnapshots) {
-  const StreamingEngine lean = twin_->make_streaming({.track_map = false});
-  StreamingAssimilator assim = lean.start();
-  for (std::size_t t = 0; t < lean.num_ticks(); ++t) assim.push(t, block(t));
-  EXPECT_THROW((void)assim.map_estimate(), std::logic_error);
-  const InversionResult batch = twin_->infer(event_->d_obs);
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_snapshot(), batch.m_map),
-            1e-11);
-  // The forecast path does not depend on MAP tracking.
-  EXPECT_LE(DigitalTwin::relative_error(assim.forecast().mean,
-                                        batch.forecast.mean),
-            1e-12);
 }
 
 // forecast_into is the allocation-free publish path of the warning service:
@@ -253,7 +223,7 @@ TEST_F(StreamingTest, ResetReplayIsBitIdentical) {
   StreamingAssimilator assim = engine_->start();
   for (std::size_t t = 0; t < engine_->num_ticks(); ++t) assim.push(t, block(t));
   const std::vector<double> q_first = assim.qoi_mean();
-  const std::vector<double> m_first = assim.map_estimate();
+  const std::vector<double> m_first = assim.map_snapshot();
 
   assim.reset();
   EXPECT_EQ(assim.ticks_received(), 0u);
@@ -261,7 +231,7 @@ TEST_F(StreamingTest, ResetReplayIsBitIdentical) {
   // Identical inputs through identical fixed-order accumulations: bitwise
   // equal, not merely close.
   EXPECT_EQ(assim.qoi_mean(), q_first);
-  EXPECT_EQ(assim.map_estimate(), m_first);
+  EXPECT_EQ(assim.map_snapshot(), m_first);
 }
 
 TEST_F(StreamingTest, PushValidation) {

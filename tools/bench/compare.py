@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Compare two BENCH_*.json reports (bench/bench_util.hpp JsonReport schema).
 
-Matches cases by name between a baseline and a current report, prints the
-median delta per case with the p10/p90 spread of both runs, and flags
-regressions. A case REGRESSES when its median slowed down by more than
+Matches cases between a baseline and a current report by identity: the case
+name plus its canonical (key-sorted) shape, so one name swept over several
+shapes is compared shape by shape. Per-case "extra" entries are measured
+side values, not identity. Prints the median delta per case with the
+p10/p90 spread of both runs, and flags regressions. A case REGRESSES when its median slowed down by more than
 --fail-above percent AND the runs' [p10, p90] intervals do not overlap —
 the overlap test keeps noisy quick-mode runs (TSUNAMI_BENCH_QUICK=1) from
 tripping the gate on jitter alone.
@@ -12,7 +14,8 @@ Usage:
     tools/bench/compare.py baseline.json current.json [--fail-above 10]
 
 Exit status: 0 when no case regresses past the threshold, 1 otherwise,
-2 on malformed input. CI archives every run's BENCH_*.json under a stable
+2 on malformed input: an unreadable report, a case key that appears twice
+in one report, or a case present on only one side. CI archives every run's BENCH_*.json under a stable
 name (bench-history/BENCH_<bench>.<sha>.json) so any two points of the
 trajectory can be compared after the fact.
 """
@@ -22,21 +25,53 @@ import json
 import sys
 
 
+def fail_input(msg):
+    print(f"compare: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
+def case_key(case):
+    """(name, canonical shape): shape entries sorted by key, so the order a
+    bench happened to emit them in does not change a case's identity."""
+    shape = case.get("shape", {})
+    if not isinstance(shape, dict):
+        raise ValueError(f"shape is not an object: {shape!r}")
+    for k, v in shape.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise ValueError(f"shape entry {k} is not a number or string")
+    return case["name"], tuple(sorted(shape.items()))
+
+
+def key_label(key):
+    name, shape = key
+    if not shape:
+        return name
+    return name + "[" + ",".join(
+        f"{k}={v:g}" if isinstance(v, (int, float)) else f"{k}={v}"
+        for k, v in shape) + "]"
+
+
 def load_cases(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             report = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"compare: cannot read {path}: {e}")
-    cases = report.get("cases")
+        fail_input(f"cannot read {path}: {e}")
+    cases = report.get("cases") if isinstance(report, dict) else None
     if not isinstance(cases, list):
-        sys.exit(f"compare: {path} has no 'cases' array")
+        fail_input(f"{path} has no 'cases' array")
     out = {}
     for case in cases:
-        name = case.get("name")
-        if not name or "median_ns" not in case:
-            sys.exit(f"compare: {path} case missing name/median_ns: {case}")
-        out[name] = case
+        if not isinstance(case, dict) or not case.get("name") \
+                or "median_ns" not in case:
+            fail_input(f"{path} case missing name/median_ns: {case}")
+        try:
+            key = case_key(case)
+        except (ValueError, TypeError) as e:
+            fail_input(f"{path} case {case.get('name')}: {e}")
+        if key in out:
+            fail_input(f"{path} has duplicate case {key_label(key)}")
+        out[key] = case
     return report, out
 
 
@@ -78,18 +113,28 @@ def main():
         print("compare: WARNING: mixing quick and full runs; deltas are "
               "indicative only", file=sys.stderr)
 
-    shared = [n for n in base if n in curr]
     only_base = sorted(set(base) - set(curr))
     only_curr = sorted(set(curr) - set(base))
+    if only_base or only_curr:
+        for key in only_base:
+            print(f"compare: {key_label(key)} only in baseline",
+                  file=sys.stderr)
+        for key in only_curr:
+            print(f"compare: {key_label(key)} only in current",
+                  file=sys.stderr)
+        fail_input(f"{len(only_base) + len(only_curr)} case(s) unmatched")
+    shared = list(base)
     if not shared:
-        sys.exit("compare: no case names in common")
+        fail_input("no cases to compare")
 
-    width = max(len(n) for n in shared)
+    labels = {key: key_label(key) for key in shared}
+    width = max(len(label) for label in labels.values())
     regressions = []
     print(f"{'case':<{width}}  {'baseline':>10}  {'current':>10}  "
           f"{'delta':>8}  spread")
-    for name in shared:
-        b, c = base[name], curr[name]
+    for key in shared:
+        label = labels[key]
+        b, c = base[key], curr[key]
         mb, mc = b["median_ns"], c["median_ns"]
         delta_pct = (mc - mb) / mb * 100.0 if mb > 0 else 0.0
         overlap = intervals_overlap(b, c)
@@ -98,16 +143,12 @@ def main():
         if slower:
             flag = " SLOWER (p10/p90 overlap)" if overlap else " REGRESSION"
             if not overlap:
-                regressions.append((name, delta_pct))
+                regressions.append((label, delta_pct))
         elif delta_pct < -args.fail_above and not overlap:
             flag = " improved"
-        print(f"{name:<{width}}  {fmt_ns(mb):>10}  {fmt_ns(mc):>10}  "
+        print(f"{label:<{width}}  {fmt_ns(mb):>10}  {fmt_ns(mc):>10}  "
               f"{delta_pct:>+7.1f}%  "
               f"{'overlaps' if overlap else 'separated'}{flag}")
-    for name in only_base:
-        print(f"{name:<{width}}  (removed: only in baseline)")
-    for name in only_curr:
-        print(f"{name:<{width}}  (new: only in current)")
 
     if regressions:
         worst = ", ".join(f"{n} {d:+.1f}%" for n, d in regressions)
