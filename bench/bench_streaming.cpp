@@ -8,7 +8,9 @@
 //   slab accumulate  — q += R[p0:p1, :]^T z[p0:p1] over the forecast slab
 //                      R = L^{-1} V: O(Nd Nq) bytes, flat in t.
 // Each layer is timed on its own (same kernels, same order as the push)
-// and reported with its computed bytes and achieved GB/s.
+// and reported with its computed bytes and achieved GB/s. The batch solve's
+// two full-factor sweeps (forward and backward substitution) are timed too,
+// each against an in-process triad bandwidth probe of the same working set.
 //
 // Two networks:
 //   demo twin        — the 8-sensor, 48-tick seed-scale twin, with the whole
@@ -30,6 +32,7 @@
 #include <cmath>
 #include <cstdio>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -101,6 +104,39 @@ LayerTimes time_layers(const DenseCholesky& chol, const Matrix& slab,
     }
   }
   return out;
+}
+
+/// One substitution sweep over a whole factor: the n(n+1)/2 lower-triangle
+/// entries are the computed bytes, each read once.
+struct SweepTime {
+  tsunami::benchutil::Stat stat;
+  double bytes = 0.0;
+  double gbps = 0.0;
+};
+
+/// Forward (L y = d) and backward (L^T x = d) substitution over the full
+/// factor — the two sweeps of every batch solve (map_point, map_snapshot,
+/// Phase 3's K^{-1} V) — each timed on its own.
+std::pair<SweepTime, SweepTime> time_full_solves(const DenseCholesky& chol,
+                                                 std::span<const double> d,
+                                                 int reps) {
+  const std::size_t n = chol.dim();
+  std::vector<double> u(n);
+  const auto sweep = [&](bool forward) {
+    SweepTime s;
+    s.bytes = 4.0 * static_cast<double>(n) * static_cast<double>(n + 1);
+    s.stat = tsunami::benchutil::time_reps(reps, [&] {
+      std::copy(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(n),
+                u.begin());
+      if (forward)
+        chol.forward_solve_range(std::span<double>(u), 0, n);
+      else
+        chol.backward_solve_prefix(std::span<double>(u), n);
+    });
+    s.gbps = s.bytes / s.stat.median_ns;  // bytes per ns = GB/s
+    return s;
+  };
+  return {sweep(true), sweep(false)};
 }
 
 /// Whole-event achieved rate of a layer: computed bytes over measured time.
@@ -422,6 +458,43 @@ int main() {
   };
   add_layers(demo, nd, nt, nq, false, demo_fwd_gbps, demo_slab_gbps);
   add_layers(syn, kSensors, syn_nt, syn_nq, true, syn_fwd_gbps, syn_slab_gbps);
+
+  // ---- full-factor triangular solves --------------------------------------
+  // Each rate is read against the in-process triad probe sized to the same
+  // working set (the factor's lower triangle), i.e. as a fraction of what a
+  // pure streaming kernel achieves at that level of the memory hierarchy.
+  // The sweeps only read the factor, while a third of the triad's bytes are
+  // writes (each also paying an uncounted read-for-ownership), so a sweep
+  // can exceed 1.
+  std::printf("\nfull-factor substitution (one sweep = the n(n+1)/2 lower "
+              "triangle):\n");
+  const auto add_solves = [&](const char* label, const DenseCholesky& c,
+                              std::span<const double> rhs, bool synthetic,
+                              int solve_reps) {
+    const auto [fwd, bwd] = time_full_solves(c, rhs, solve_reps);
+    const double triad = bu::triad_gbps(static_cast<std::size_t>(fwd.bytes),
+                                        bu::reps(5));
+    std::printf(
+        "  %-9s n=%5zu (%6.1f MB): forward %s %.2f GB/s (%.2f of triad) | "
+        "backward %s %.2f GB/s (%.2f of triad) | triad %.2f GB/s\n",
+        label, c.dim(), fwd.bytes / 1e6,
+        format_duration(fwd.stat.median_ns / 1e9).c_str(), fwd.gbps,
+        fwd.gbps / triad, format_duration(bwd.stat.median_ns / 1e9).c_str(),
+        bwd.gbps, bwd.gbps / triad, triad);
+    const std::vector<std::pair<std::string, double>> shape = {
+        {"n", static_cast<double>(c.dim())},
+        {"synthetic", synthetic ? 1.0 : 0.0}};
+    for (const auto& [name, sw] :
+         {std::pair<const char*, const SweepTime*>{"forward_solve_full", &fwd},
+          {"backward_solve_full", &bwd}})
+      report.add(name, shape, sw->stat,
+                 {{"bytes", sw->bytes},
+                  {"gbps", sw->gbps},
+                  {"triad_gbps", triad},
+                  {"fraction_of_triad", sw->gbps / triad}});
+  };
+  add_solves("demo", chol, event.d_obs, false, bu::reps(25));
+  add_solves("synthetic", syn_chol, syn_d, true, bu::reps(7));
   report.add("truncated_solve",
              {{"sensors", static_cast<double>(nd)},
               {"ticks", static_cast<double>(nt)}},

@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +42,24 @@ Stat from_seconds(const std::vector<double>& seconds) {
   st.p10_ns = percentile(seconds, 10.0) * 1e9;
   st.p90_ns = percentile(seconds, 90.0) * 1e9;
   return st;
+}
+
+double triad_gbps(std::size_t working_set_bytes, int reps) {
+  const std::size_t n =
+      std::max<std::size_t>(working_set_bytes / (3 * sizeof(double)), 1024);
+  std::vector<double> a(n, 0.0), b(n, 1.0), c(n, 2.0);
+  const double scalar = 0.5;
+  std::vector<double> seconds;
+  for (int r = 0; r <= std::max(reps, 1); ++r) {
+    Stopwatch w;
+    for (std::size_t i = 0; i < n; ++i) a[i] = b[i] + scalar * c[i];
+    // Keep the stores: the loop is identical every rep.
+    asm volatile("" : : "r"(a.data()) : "memory");
+    if (r > 0) seconds.push_back(w.seconds());  // rep 0 is the warmup
+  }
+  if (a[n / 2] != 2.0) std::fprintf(stderr, "[bench_util] triad: bad result\n");
+  return 3.0 * static_cast<double>(n * sizeof(double)) /
+         percentile(seconds, 50.0) / 1e9;
 }
 
 JsonReport::JsonReport(std::string bench_name) : name_(std::move(bench_name)) {}

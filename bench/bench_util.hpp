@@ -55,6 +55,14 @@ struct Stat {
 /// Summarize an externally collected sample of per-iteration seconds.
 [[nodiscard]] Stat from_seconds(const std::vector<double>& seconds);
 
+/// In-process bandwidth probe: median GB/s of a single-thread triad
+/// a[i] = b[i] + s c[i] over three arrays that together span
+/// `working_set_bytes` (counting 3 x 8 bytes per element: two reads and
+/// one write). Sized to a kernel's own working set, it is a streaming
+/// reference at the same level of the memory hierarchy, so the kernel's
+/// measured GB/s reads as a fraction of it.
+[[nodiscard]] double triad_gbps(std::size_t working_set_bytes, int reps);
+
 /// Accumulates cases and writes BENCH_<name>.json.
 class JsonReport {
  public:

@@ -99,11 +99,44 @@ TSUNAMI_HOT_PATH void DenseCholesky::forward_solve_range(
   if (begin > end || end > n || b.size() < end)
     throw std::invalid_argument("DenseCholesky: bad forward-solve range");
   const double* lp = l_.data();
-  for (std::size_t i = begin; i < end; ++i) {
-    double s = b[i];
+  double* x = b.data();
+  // Four rows in lockstep: one load of x[j] feeds four independent
+  // dependency chains. Each row still sums in ascending j, ending with the
+  // rows of its own block, so every entry is bitwise the one-row result.
+  std::size_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    const double* r0 = lp + i * n;
+    const double* r1 = r0 + n;
+    const double* r2 = r1 + n;
+    const double* r3 = r2 + n;
+    double s0 = x[i], s1 = x[i + 1], s2 = x[i + 2], s3 = x[i + 3];
+    for (std::size_t j = 0; j < i; ++j) {
+      const double xj = x[j];
+      s0 -= r0[j] * xj;
+      s1 -= r1[j] * xj;
+      s2 -= r2[j] * xj;
+      s3 -= r3[j] * xj;
+    }
+    s0 /= r0[i];
+    s1 -= r1[i] * s0;
+    s1 /= r1[i + 1];
+    s2 -= r2[i] * s0;
+    s2 -= r2[i + 1] * s1;
+    s2 /= r2[i + 2];
+    s3 -= r3[i] * s0;
+    s3 -= r3[i + 1] * s1;
+    s3 -= r3[i + 2] * s2;
+    s3 /= r3[i + 3];
+    x[i] = s0;
+    x[i + 1] = s1;
+    x[i + 2] = s2;
+    x[i + 3] = s3;
+  }
+  for (; i < end; ++i) {
     const double* row = lp + i * n;
-    for (std::size_t j = 0; j < i; ++j) s -= row[j] * b[j];
-    b[i] = s / row[i];
+    double s = x[i];
+    for (std::size_t j = 0; j < i; ++j) s -= row[j] * x[j];
+    x[i] = s / row[i];
   }
 }
 
@@ -121,16 +154,41 @@ void DenseCholesky::forward_solve_in_place(Matrix& b) const {
                 [this](std::span<double> col) { forward_solve_in_place(col); });
 }
 
-void DenseCholesky::backward_solve_prefix(std::span<double> b,
-                                          std::size_t prefix) const {
+TSUNAMI_HOT_PATH void DenseCholesky::backward_solve_prefix(
+    std::span<double> b, std::size_t prefix) const {
   const std::size_t n = l_.rows();
   if (prefix > n || b.size() < prefix)
     throw std::invalid_argument("DenseCholesky: bad backward-solve prefix");
   const double* lp = l_.data();
-  for (std::size_t ii = prefix; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t j = ii + 1; j < prefix; ++j) s -= lp[j * n + ii] * b[j];
-    b[ii] = s / lp[ii * n + ii];
+  double* x = b.data();
+  // Row sweep: once x_i is final, row i of L (contiguous) scatters it into
+  // b[0:i). Blocks of four rows share one pass over b[0:i0); each b[j]
+  // still takes its subtractions in descending row order.
+  std::size_t i = prefix;
+  for (; i >= 4; i -= 4) {
+    const std::size_t i0 = i - 4;
+    const double* r0 = lp + i0 * n;
+    const double* r1 = r0 + n;
+    const double* r2 = r1 + n;
+    const double* r3 = r2 + n;
+    const double x3 = x[i0 + 3] / r3[i0 + 3];
+    const double x2 = (x[i0 + 2] - r3[i0 + 2] * x3) / r2[i0 + 2];
+    const double x1 =
+        (x[i0 + 1] - r3[i0 + 1] * x3 - r2[i0 + 1] * x2) / r1[i0 + 1];
+    const double x0 =
+        (x[i0] - r3[i0] * x3 - r2[i0] * x2 - r1[i0] * x1) / r0[i0];
+    x[i0] = x0;
+    x[i0 + 1] = x1;
+    x[i0 + 2] = x2;
+    x[i0 + 3] = x3;
+    for (std::size_t j = 0; j < i0; ++j)
+      x[j] = x[j] - r3[j] * x3 - r2[j] * x2 - r1[j] * x1 - r0[j] * x0;
+  }
+  while (i-- > 0) {
+    const double* row = lp + i * n;
+    const double xi = x[i] / row[i];
+    x[i] = xi;
+    for (std::size_t j = 0; j < i; ++j) x[j] -= row[j] * xi;
   }
 }
 

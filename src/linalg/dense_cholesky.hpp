@@ -53,6 +53,14 @@ class DenseCholesky {
   /// b[begin:end) holds solution entries. b[end:] is never read or written,
   /// so a full-length buffer can be filled incrementally. Cost O((end-begin)
   /// * end) — extending a solve by one block touches only the new rows.
+  ///
+  /// Summation order: y_i = (b_i - sum_{j<i} L_ij y_j) / L_ii, the sum taken
+  /// in ascending j, one row at a time. Rows run four in lockstep (sharing
+  /// each y_j load), but no row's order depends on its neighbours or on
+  /// `begin`, so the result is bitwise identical for ANY split of [0, n)
+  /// into ranges. Streaming pushes (one block per call) therefore equal the
+  /// batch solve bit for bit — the streaming-equals-batch contract rests on
+  /// this.
   TSUNAMI_HOT_PATH void forward_solve_range(std::span<double> b,
                                             std::size_t begin,
                                             std::size_t end) const;
@@ -66,7 +74,14 @@ class DenseCholesky {
   /// is the Cholesky factor of the leading block of A, composing
   /// forward_solve_range(b, 0, p) with backward_solve_prefix(b, p) solves
   /// A[0:p, 0:p] x = b[0:p) exactly — no refactorization.
-  void backward_solve_prefix(std::span<double> b, std::size_t prefix) const;
+  ///
+  /// Summation order: a sweep over the ROWS of L, from p-1 down to 0:
+  /// x_i = b_i / L_ii, then b[0:i) -= L[i, 0:i) x_i. Every read is a
+  /// contiguous row prefix (the factor is row-major), so the update
+  /// vectorizes; each b_j receives its subtractions in descending row
+  /// order.
+  TSUNAMI_HOT_PATH void backward_solve_prefix(std::span<double> b,
+                                              std::size_t prefix) const;
 
   // ---- low-rank factor maintenance ----------------------------------------
   // Rank-1 update/downdate rotate the factor in place in O(n^2) — the kernel

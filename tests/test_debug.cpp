@@ -3,8 +3,9 @@
 // interposers really count (an allocation/lock inside a scope is seen);
 // steady-state cases prove the repo's zero-allocation claims on the real hot
 // paths — StreamingAssimilator push/push_many/forecast_into, the
-// BlockToeplitz apply family, the EventSession publish path — and a bounded-
-// allocation claim on the WarningService drain cycle.
+// DenseCholesky triangular solves, the BlockToeplitz apply family, the
+// EventSession publish path — and a bounded-allocation claim on the
+// WarningService drain cycle.
 //
 // The whole suite GTEST_SKIPs unless built with -DTSUNAMI_CHECKS=ON (the
 // interposers are a debug/CI configuration); the `checks` CI job runs it.
@@ -226,6 +227,30 @@ TEST_F(SteadyStateTest, ForecastIntoIsAllocFree) {
     allocs = no_alloc.allocations();
   }
   EXPECT_EQ(allocs, 0u) << "steady-state forecast_into allocated";
+}
+
+TEST_F(SteadyStateTest, TriangularSolvesAreAllocAndLockFree) {
+  // The substitution kernels under push (forward, resumed per block) and
+  // under map_point / map_snapshot (prefix backward) touch only the
+  // caller's buffer: no warm-up is needed.
+  SKIP_WITHOUT_CHECKS();
+  const DenseCholesky& chol = (*twin_)->hessian().cholesky();
+  const std::size_t n = chol.dim();
+  const std::size_t half = n / 2 + 1;
+  std::vector<double> u(event_->d_obs);
+  std::uint64_t allocs = 0, locks = 0;
+  {
+    const ScopedNoAlloc no_alloc;
+    const ScopedNoLock no_lock;
+    chol.forward_solve_range(std::span<double>(u), 0, half);
+    chol.backward_solve_prefix(std::span<double>(u), half);
+    chol.forward_solve_range(std::span<double>(u), half, n);
+    chol.backward_solve_prefix(std::span<double>(u), n);
+    allocs = no_alloc.allocations();
+    locks = no_lock.locks();
+  }
+  EXPECT_EQ(allocs, 0u) << "triangular solve allocated";
+  EXPECT_EQ(locks, 0u) << "triangular solve took a mutex";
 }
 
 TEST_F(SteadyStateTest, BlockToeplitzApplyFamilyIsAllocAndLockFree) {

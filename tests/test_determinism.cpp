@@ -129,14 +129,17 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     return std::span<const double>(d).subspan(t * nd, nd);
   }
 
-  /// Multi-RHS G* against 3 random data-space columns.
+  /// Multi-RHS G* = Gamma_prior F^T against 3 random data-space columns,
+  /// through the production pair that Phase 2's Hessian assembly batches.
   static Matrix gstar_many() {
     const Posterior& post = twin_->posterior();
     Rng rng(29);
     Matrix y(event_->d_obs.size(), 3);
     for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = rng.normal();
-    Matrix m(event_->m_true.size(), 3);
-    post.apply_gstar_many(y, m);
+    Matrix ft;
+    post.forward_map().apply_transpose_many(y, ft);
+    Matrix m;
+    post.prior().apply_time_blocks_columns(ft, m, post.time_dim());
     return m;
   }
 
@@ -228,8 +231,9 @@ TEST_P(WorkerCountTest, ScenarioBankSynthesizeAndSweepAreInvariant) {
 }
 
 TEST_P(WorkerCountTest, MultiRhsAppliesAreInvariant) {
-  // apply_gstar_many drives the full multi-RHS FFT stack (BlockToeplitz
-  // apply_many over the pool's slotted loops).
+  // BlockToeplitz::apply_transpose_many -> MaternPrior::
+  // apply_time_blocks_columns drives the full multi-RHS FFT stack and the
+  // per-column prior solves over the pool's slotted loops.
   const Matrix m = gstar_many();
   ASSERT_EQ(m.size(), ref_gstar_->size());
   for (std::size_t i = 0; i < m.size(); ++i)

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/banded_cholesky.hpp"
@@ -235,6 +236,115 @@ TEST(DenseCholesky, MultiRhsForwardSolveMatchesColumnwise) {
     for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
     chol.forward_solve_in_place(std::span<double>(col));
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(fwd(i, j), col[i]);
+  }
+}
+
+/// The textbook one-row-at-a-time forward substitution over rows [0, n):
+/// the summation-order contract forward_solve_range must match bitwise.
+std::vector<double> scalar_forward(const Matrix& l, std::vector<double> b) {
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    double s = b[i];
+    for (std::size_t j = 0; j < i; ++j) s -= l(i, j) * b[j];
+    b[i] = s / l(i, i);
+  }
+  return b;
+}
+
+TEST(DenseCholesky, ForwardSolveRangeIsBitwiseScalarAtAnySplit) {
+  // Lockstep rows must not change any row's summation order: every
+  // (begin, end) residue mod 4, and random chunkings, reproduce the scalar
+  // loop bit for bit.
+  Rng rng(31);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{4}, std::size_t{5}, std::size_t{6},
+                              std::size_t{7}, std::size_t{8}, std::size_t{9},
+                              std::size_t{61}, std::size_t{257}}) {
+    const DenseCholesky chol(random_spd(n, rng));
+    const auto rhs = rng.normal_vector(n);
+    const std::vector<double> ref = scalar_forward(chol.factor(), rhs);
+
+    // Range endpoints covering every residue mod 4 at both ends of the
+    // factor and in its middle.
+    std::vector<std::size_t> cuts;
+    for (std::size_t k = 0; k < 8; ++k) {
+      cuts.push_back(std::min(k, n));
+      cuts.push_back(std::min(n / 2 + k, n));
+      cuts.push_back(n - std::min(k, n));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    constexpr double kUntouched = 12345.0;
+    for (const std::size_t begin : cuts) {
+      for (const std::size_t end : cuts) {
+        if (end < begin) continue;
+        std::vector<double> x(n, kUntouched);
+        for (std::size_t i = 0; i < begin; ++i) x[i] = ref[i];
+        for (std::size_t i = begin; i < end; ++i) x[i] = rhs[i];
+        chol.forward_solve_range(std::span<double>(x), begin, end);
+        for (std::size_t i = 0; i < end; ++i)
+          ASSERT_EQ(x[i], ref[i])
+              << "n " << n << " range [" << begin << ", " << end << ") row "
+              << i;
+        for (std::size_t i = end; i < n; ++i)
+          ASSERT_EQ(x[i], kUntouched) << "n " << n << " wrote past end";
+      }
+    }
+
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> x(n, 0.0);
+      std::size_t begin = 0;
+      while (begin < n) {
+        const std::size_t end =
+            std::min(n, begin + 1 + static_cast<std::size_t>(
+                                        rng.uniform() * 9.0));
+        for (std::size_t i = begin; i < end; ++i) x[i] = rhs[i];
+        chol.forward_solve_range(std::span<double>(x), begin, end);
+        begin = end;
+      }
+      ASSERT_EQ(x, ref) << "n " << n << " chunked trial " << trial;
+    }
+  }
+}
+
+TEST(DenseCholesky, BackwardSolvePrefixResidualIsSmall) {
+  // The row sweep solves L[0:p, 0:p]^T x = b[0:p) for every prefix length,
+  // including ones that leave a partial four-row block.
+  Rng rng(32);
+  const std::size_t n = 61;
+  const DenseCholesky chol(random_spd(n, rng));
+  const Matrix& l = chol.factor();
+  const auto rhs = rng.normal_vector(n);
+  for (const std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{5}, std::size_t{17}, n}) {
+    std::vector<double> x(rhs);
+    chol.backward_solve_prefix(std::span<double>(x), p);
+    for (std::size_t i = p; i < n; ++i)
+      ASSERT_EQ(x[i], rhs[i]) << "prefix " << p << " wrote row " << i;
+    double res = 0.0, bmax = 0.0;
+    for (std::size_t j = 0; j < p; ++j) {
+      double s = 0.0;  // (L^T x)_j = sum_{i>=j} L_ij x_i
+      for (std::size_t i = j; i < p; ++i) s += l(i, j) * x[i];
+      res = std::max(res, std::abs(s - rhs[j]));
+      bmax = std::max(bmax, std::abs(rhs[j]));
+    }
+    EXPECT_LT(res, 1e-13 * bmax) << "prefix " << p;
+  }
+}
+
+TEST(DenseCholesky, MultiRhsSolveMatchesColumnwise) {
+  Rng rng(33);
+  const std::size_t n = 37, k = 6;
+  const DenseCholesky chol(random_spd(n, rng));
+  Matrix b(n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
+  Matrix x(b);
+  chol.solve_in_place(x);
+  for (std::size_t j = 0; j < k; ++j) {
+    std::vector<double> col(n);
+    for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+    chol.solve_in_place(std::span<double>(col));
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x(i, j), col[i]);
   }
 }
 
