@@ -4,7 +4,7 @@
 //   1. compute:   a pure-flops parallel_reduce (no memory traffic to
 //                 saturate) across worker counts — the pool's raw scaling
 //                 ceiling on this machine;
-//   2. apply_many: the multi-RHS FFT Toeplitz apply (the twin's hot kernel)
+//   2. apply_many: the multi-RHS FFT Toeplitz apply (the online kernel, batched)
 //                 across worker counts — scaling with real bandwidth limits;
 //   3. push_many: K tick-aligned streaming pushes fused into one multi-RHS
 //                 sweep versus K independent serial pushes, K in {1, 4, 16}

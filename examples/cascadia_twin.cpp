@@ -96,6 +96,8 @@ int main(int argc, char** argv) {
       format_duration(timers.total("form K")));
   phase_table.row().cell("2").cell("factorize K").cell(
       format_duration(timers.total("factorize K")));
+  phase_table.row().cell("3").cell("form V, W").cell(
+      format_duration(timers.total("form V, W")));
   phase_table.row().cell("3").cell("compute Gamma_post(q)").cell(
       format_duration(timers.total("compute Gamma_post(q)")));
   phase_table.row().cell("3").cell("compute Q : d -> q").cell(

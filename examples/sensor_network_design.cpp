@@ -103,8 +103,8 @@ int main() {
 
     Rng rng(11);
     const SyntheticEvent event = twin.synthesize(scenario, rng);
-    const PlacementPool pool = build_placement_pool(
-        *f_pool.toeplitz, *fq.toeplitz, twin.prior(), event.noise);
+    const PlacementPool pool =
+        build_placement_pool(f_pool, fq, twin.prior(), event.noise);
     const PlacementResult placement = greedy_sensor_placement(pool, 6);
 
     TextTable ptable({"pick", "candidate", "x [km]", "y [km]",

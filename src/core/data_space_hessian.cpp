@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/p2o_builder.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace tsunami {
@@ -15,82 +16,96 @@ NoiseModel relative_noise(std::span<const double> d, double level) {
   return NoiseModel{level * dmax};
 }
 
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols, Matrix& ga_scratch,
-                   ToeplitzWorkspace& ws) {
-  const std::size_t n = f.input_dim();
-  if (a_cols.rows() != n)
-    throw std::invalid_argument("apply_f_prior: row mismatch");
-  // Gamma_prior applied column-wise (block diagonal in time); the prior
-  // owns the per-thread contiguous-column staging, so the batched K-forming
-  // loop allocates nothing here after its first iteration.
-  prior.apply_time_blocks_columns(a_cols, ga_scratch, f.num_blocks());
-  f.apply_many(ga_scratch, out_cols, ws);
+namespace {
+
+/// H_k = C B_k^T for every block of `b`, each stored as an Nm x b.nrows
+/// row-major slab: h[(k * Nm + r) * b.nrows + c]. Row c of B_k is
+/// contiguous in the map, so each prior apply reads it in place; the result
+/// is scattered into column c so the recurrence's innermost loop runs along
+/// a unit-stride row of H.
+std::vector<double> prior_times_blocks_t(const P2oMap& b,
+                                         const MaternPrior& prior) {
+  const std::size_t nm = b.ncols, nb = b.nrows;
+  std::vector<double> h(b.nt * nm * nb);
+  std::vector<double> scratch(static_cast<std::size_t>(num_threads()) * nm);
+  parallel_for_slotted(b.nt * nb, 2, [&](std::size_t kc, std::size_t slot) {
+    const std::size_t k = kc / nb, c = kc % nb;
+    const std::span<double> out(scratch.data() + slot * nm, nm);
+    prior.apply(std::span<const double>(b.blocks).subspan(kc * nm, nm), out);
+    double* hk = h.data() + k * nm * nb;
+    for (std::size_t r = 0; r < nm; ++r) hk[r * nb + c] = out[r];
+  });
+  return h;
 }
 
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols) {
-  Matrix ga;
-  ToeplitzWorkspace ws;
-  apply_f_prior(f, prior, a_cols, out_cols, ga, ws);
+}  // namespace
+
+Matrix prior_cross_gram(const P2oMap& a, const P2oMap& b,
+                        const MaternPrior& prior) {
+  if (a.ncols != prior.dim() || b.ncols != prior.dim() || a.nt != b.nt)
+    throw std::invalid_argument("prior_cross_gram: map shape mismatch");
+  const bool same = &a == &b;
+  const std::size_t nt = a.nt, nm = a.ncols, na = a.nrows, nb = b.nrows;
+  const std::vector<double> h = prior_times_blocks_t(b, prior);
+  Matrix out(na * nt, nb * nt);
+  // Signed offsets d = i - j ordered by falling length (0, +1, -1, +2, ...)
+  // so the pool starts on the longest running sums.
+  const std::size_t noffsets = nt == 0 ? 0 : (same ? nt : 2 * nt - 1);
+  parallel_for(noffsets, [&](std::size_t o) {
+    // The sum starts at block (d, 0) for d >= 0 and at (0, -d) for d < 0.
+    std::size_t i0 = 0, j0 = 0;
+    if (same)
+      i0 = o;
+    else if (o % 2 == 1)
+      i0 = (o + 1) / 2;
+    else
+      j0 = o / 2;
+    std::vector<double> acc(na * nb, 0.0);
+    for (std::size_t i = i0, j = j0; i < nt && j < nt; ++i, ++j) {
+      // acc += A_i H_j, the innermost loop an axpy along a row of H_j.
+      const double* ai = a.blocks.data() + i * na * nm;
+      const double* hj = h.data() + j * nm * nb;
+      for (std::size_t s = 0; s < na; ++s) {
+        double* acc_s = acc.data() + s * nb;
+        for (std::size_t r = 0; r < nm; ++r) {
+          const double asr = ai[s * nm + r];
+          const double* hr = hj + r * nb;
+          for (std::size_t c = 0; c < nb; ++c) acc_s[c] += asr * hr[c];
+        }
+      }
+      for (std::size_t s = 0; s < na; ++s)
+        for (std::size_t c = 0; c < nb; ++c) {
+          const double v = acc[s * nb + c];
+          out(i * na + s, j * nb + c) = v;
+          if (same && i != j) out(j * nb + c, i * na + s) = v;
+        }
+    }
+  });
+  return out;
 }
 
-DataSpaceHessian::DataSpaceHessian(const BlockToeplitz& f,
-                                   const MaternPrior& prior,
-                                   const NoiseModel& noise, std::size_t batch,
+DataSpaceHessian::DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
+                                   const NoiseModel& noise,
                                    TimerRegistry* timers)
     : noise_(noise) {
-  const std::size_t n = f.output_dim();  // Nd * Nt
-  const std::size_t nt = f.num_blocks();
-  const std::size_t nd = f.block_rows();
-  const std::size_t nm = f.block_cols();
-  k_ = Matrix(n, n);
-
   Stopwatch form_watch;
-  // Columns of F G* = F Gamma_prior F^T in batches. F^T applied to a unit
-  // vector e_(i,s) has the closed form (F^T e)_(j,:) = F_{i-j}[s,:] (j <= i),
-  // read straight out of the Fourier-free transpose; we use the Toeplitz
-  // transpose matvec for exactness and simplicity of batching.
-  // All batch scratch (unit columns, the two staging matrices, the Toeplitz
-  // workspace) is hoisted out of the loop: only the first iteration — or a
-  // smaller final remainder batch — allocates.
-  Matrix units;     // n x nb unit columns
-  Matrix ft_units;  // (Nm Nt) x nb
-  Matrix cols;      // n x nb
-  Matrix ga;        // (Nm Nt) x nb prior staging
-  ToeplitzWorkspace ws;
-  std::size_t col0 = 0;
-  while (col0 < n) {
-    const std::size_t nb = std::min(batch, n - col0);
-    if (units.rows() != n || units.cols() != nb) units = Matrix(n, nb);
-    if (col0 > 0)
-      for (std::size_t v = 0; v < nb; ++v) units(col0 - nb + v, v) = 0.0;
-    for (std::size_t v = 0; v < nb; ++v) units(col0 + v, v) = 1.0;
-    f.apply_transpose_many(units, ft_units, ws);
-    apply_f_prior(f, prior, ft_units, cols, ga, ws);
-    for (std::size_t v = 0; v < nb; ++v)
-      for (std::size_t i = 0; i < n; ++i) k_(i, col0 + v) = cols(i, v);
-    col0 += nb;
-  }
-  (void)nt;
-  (void)nd;
-  (void)nm;
+  k_ = prior_cross_gram(f, f, prior);
+  const std::size_t n = k_.rows(), nd = f.nrows;
 
-  // Measure asymmetry, then symmetrize and add the noise diagonal.
+  // Only the diagonal time blocks were summed without mirroring: measure
+  // their asymmetry, then symmetrize them and add the noise diagonal.
   double asym = 0.0, kmax = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      asym = std::max(asym, std::abs(k_(i, j) - k_(j, i)));
-      kmax = std::max(kmax, std::abs(k_(i, j)));
-    }
-  for (std::size_t i = 0; i < n; ++i) kmax = std::max(kmax, std::abs(k_(i, i)));
+  for (std::size_t i = 0; i < k_.size(); ++i)
+    kmax = std::max(kmax, std::abs(k_.data()[i]));
+  for (std::size_t t0 = 0; t0 < n; t0 += nd)
+    for (std::size_t i = t0; i < t0 + nd; ++i)
+      for (std::size_t j = i + 1; j < t0 + nd; ++j) {
+        asym = std::max(asym, std::abs(k_(i, j) - k_(j, i)));
+        const double v = 0.5 * (k_(i, j) + k_(j, i));
+        k_(i, j) = v;
+        k_(j, i) = v;
+      }
   asymmetry_ = kmax > 0 ? asym / kmax : 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = 0.5 * (k_(i, j) + k_(j, i));
-      k_(i, j) = v;
-      k_(j, i) = v;
-    }
   for (std::size_t i = 0; i < n; ++i) k_(i, i) += noise_.variance();
   if (timers) timers->add("form K", form_watch.seconds());
 

@@ -8,9 +8,13 @@
 //   K = Gamma_noise + F Gamma_prior F*          ("data-space Hessian"),
 // and the MAP point becomes  m_map = G* K^{-1} d_obs.
 //
-// K is (Nd Nt) x (Nd Nt) dense; each column is one FFT-based Hessian matvec
-// on a unit vector (Table III: "form K: 252k x 24 ms"), batched here through
-// the multi-RHS Toeplitz engine, then Cholesky-factorized (cuSOLVERMp ->
+// K is (Nd Nt) x (Nd Nt) dense. The paper forms it with one FFT Hessian
+// matvec per unit data vector (Table III: "form K: 252k x 24 ms"); here it
+// comes straight from the time-domain p2o blocks by the causal block
+// recurrence of prior_cross_gram below — F is block lower-triangular
+// Toeplitz and Gamma_prior block diagonal and time invariant, so every block
+// diagonal of F Gamma_prior F^T is one running sum, O(Nt^2 Nd^2 Nm) flops
+// after Nt Nd prior solves — then Cholesky-factorized (cuSOLVERMp ->
 // DenseCholesky).
 
 #include <cstddef>
@@ -21,10 +25,11 @@
 #include "linalg/dense.hpp"
 #include "linalg/dense_cholesky.hpp"
 #include "prior/matern_prior.hpp"
-#include "toeplitz/block_toeplitz.hpp"
 #include "util/timer.hpp"
 
 namespace tsunami {
+
+struct P2oMap;
 
 /// Gaussian observation-noise model: Gamma_noise = sigma^2 I.
 struct NoiseModel {
@@ -39,11 +44,10 @@ struct NoiseModel {
 
 class DataSpaceHessian {
  public:
-  /// Forms and factorizes K. `batch` controls multi-RHS matvec batching.
-  /// Records "form K" / "factorize K" timer samples.
-  DataSpaceHessian(const BlockToeplitz& f, const MaternPrior& prior,
-                   const NoiseModel& noise, std::size_t batch = 64,
-                   TimerRegistry* timers = nullptr);
+  /// Forms K = Gamma_noise + prior_cross_gram(f, f, prior) and factorizes
+  /// it. Records "form K" / "factorize K" timer samples.
+  DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
+                   const NoiseModel& noise, TimerRegistry* timers = nullptr);
 
   /// Rebuild from a previously computed Cholesky factor (the warm-start
   /// path: the artifact bundle ships L, not K). Solves are bit-identical to
@@ -73,8 +77,10 @@ class DataSpaceHessian {
   /// retained K of a cold instance is kept consistent.
   void decouple_channels(const SensorMask& mask, std::size_t channels_per_tick);
 
-  /// Asymmetry of the formed K before symmetrization: max |K - K^T| /
-  /// max |K|; a structural check on F/F* consistency (should be ~1e-14).
+  /// Asymmetry of the formed K's diagonal time blocks before they are
+  /// symmetrized: max |K_ij - K_ji| over those blocks / max |K|, a check on
+  /// the prior solves' symmetry (should be ~1e-14). The off-diagonal blocks
+  /// are formed once and mirrored, so they carry none.
   [[nodiscard]] double asymmetry() const { return asymmetry_; }
 
  private:
@@ -86,16 +92,20 @@ class DataSpaceHessian {
   double asymmetry_ = 0.0;
 };
 
-/// B = F Gamma_prior A for a tall matrix A given column-wise (space-time
-/// rows), batched: used for K columns, the V = F Gq* matrix of Phase 3, and
-/// posterior probing. `a_cols` has input_dim rows. The workspace overload
-/// reuses `ga_scratch` (the Gamma_prior A staging matrix) and the Toeplitz
-/// workspace across calls — the K-forming loop invokes this once per column
-/// batch and would otherwise reallocate both every iteration.
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols);
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols, Matrix& ga_scratch,
-                   ToeplitzWorkspace& ws);
+/// A Gamma_prior B^T for two Phase-1 maps over the same parameter grid and
+/// time window: (a.nrows Nt) x (b.nrows Nt), rows and columns time-major
+/// (index t * nrows + s). With A, B causal block Toeplitz (blocks A_k, B_k
+/// from the maps' time-domain `blocks`) and Gamma_prior = blockdiag(C),
+/// block (i, j) is  sum_{l <= min(i,j)} A_{i-l} C B_{j-l}^T,  so along each
+/// signed block offset i - j it is the running sum
+///   block(i, j) = block(i-1, j-1) + A_i H_j,   H_j = C B_j^T.
+/// The H_j take Nt * b.nrows MaternPrior::apply calls; the sums take
+/// O(Nt^2 a.nrows b.nrows Nm) flops, one serial sum per offset and the
+/// offsets spread over the pool, so the result is bitwise identical at any
+/// worker count. When `a` and `b` are the same object the result is
+/// symmetric by construction: only blocks i >= j are summed and those with
+/// i > j are mirrored; the diagonal time blocks are left as summed.
+[[nodiscard]] Matrix prior_cross_gram(const P2oMap& a, const P2oMap& b,
+                                      const MaternPrior& prior);
 
 }  // namespace tsunami

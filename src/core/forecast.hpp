@@ -45,10 +45,11 @@ struct Forecast {
 
 class QoiPredictor {
  public:
-  /// Phase 3 precomputation. Records "compute Gamma_post(q)" / "compute Q"
+  /// Phase 3 precomputation: V and W by prior_cross_gram, then the K^{-1} V
+  /// solve. Records "form V, W" / "compute Gamma_post(q)" / "compute Q"
   /// timer samples.
-  QoiPredictor(const BlockToeplitz& f, const BlockToeplitz& fq,
-               const MaternPrior& prior, const DataSpaceHessian& hessian,
+  QoiPredictor(const P2oMap& f, const P2oMap& fq, const MaternPrior& prior,
+               const DataSpaceHessian& hessian,
                TimerRegistry* timers = nullptr);
 
   /// Warm start from the shipped Phase 3 products: the dense data-to-QoI

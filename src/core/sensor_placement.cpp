@@ -5,48 +5,23 @@
 #include <stdexcept>
 
 #include "core/forecast.hpp"
+#include "core/p2o_builder.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/dense_cholesky.hpp"
 
 namespace tsunami {
 
-PlacementPool build_placement_pool(const BlockToeplitz& f_pool,
-                                   const BlockToeplitz& fq,
+PlacementPool build_placement_pool(const P2oMap& f_pool, const P2oMap& fq,
                                    const MaternPrior& prior,
                                    const NoiseModel& noise) {
   PlacementPool pool;
-  pool.num_candidates = f_pool.block_rows();
-  pool.nt = f_pool.num_blocks();
+  pool.num_candidates = f_pool.nrows;
+  pool.nt = f_pool.nt;
   pool.noise_variance = noise.variance();
-
-  const std::size_t nd = f_pool.output_dim();
-  const std::size_t nq = fq.output_dim();
-
-  // Gram = F Gp F^T on pool unit vectors (no noise on the diagonal; noise
-  // enters per-subset in K_S).
-  {
-    Matrix units(nd, nd);
-    for (std::size_t i = 0; i < nd; ++i) units(i, i) = 1.0;
-    Matrix ft_units;
-    f_pool.apply_transpose_many(units, ft_units);
-    apply_f_prior(f_pool, prior, ft_units, pool.gram);
-    // Symmetrize.
-    for (std::size_t i = 0; i < nd; ++i)
-      for (std::size_t j = i + 1; j < nd; ++j) {
-        const double v = 0.5 * (pool.gram(i, j) + pool.gram(j, i));
-        pool.gram(i, j) = v;
-        pool.gram(j, i) = v;
-      }
-  }
-  // V and W against the QoI map.
-  {
-    Matrix units(nq, nq);
-    for (std::size_t i = 0; i < nq; ++i) units(i, i) = 1.0;
-    Matrix fqt_units;
-    fq.apply_transpose_many(units, fqt_units);
-    apply_f_prior(f_pool, prior, fqt_units, pool.v);
-    apply_f_prior(fq, prior, fqt_units, pool.w);
-  }
+  // No noise on the Gram's diagonal: it enters per subset in K_S.
+  pool.gram = prior_cross_gram(f_pool, f_pool, prior);
+  pool.v = prior_cross_gram(f_pool, fq, prior);
+  pool.w = prior_cross_gram(fq, fq, prior);
   return pool;
 }
 

@@ -20,7 +20,6 @@
 #include "core/data_space_hessian.hpp"
 #include "linalg/dense.hpp"
 #include "prior/matern_prior.hpp"
-#include "toeplitz/block_toeplitz.hpp"
 
 namespace tsunami {
 
@@ -38,9 +37,10 @@ struct PlacementPool {
   double noise_variance = 1.0;
 };
 
-/// Build the pool from the candidate p2o map and the QoI map.
-[[nodiscard]] PlacementPool build_placement_pool(const BlockToeplitz& f_pool,
-                                                 const BlockToeplitz& fq,
+/// Build the pool from the candidate p2o map and the QoI map: the Gram, V
+/// and W each by one prior_cross_gram.
+[[nodiscard]] PlacementPool build_placement_pool(const P2oMap& f_pool,
+                                                 const P2oMap& fq,
                                                  const MaternPrior& prior,
                                                  const NoiseModel& noise);
 

@@ -87,10 +87,17 @@ void AcousticGravityModel::apply_generator(std::span<const double> y,
 
 void AcousticGravityModel::apply_generator_transpose(
     std::span<const double> y, std::span<double> out) const {
-  if (y.size() != state_dim() || out.size() != state_dim())
+  std::vector<double> scratch(state_dim());
+  apply_generator_transpose(y, out, scratch);
+}
+
+void AcousticGravityModel::apply_generator_transpose(
+    std::span<const double> y, std::span<double> out,
+    std::span<double> scaled) const {
+  if (y.size() != state_dim() || out.size() != state_dim() ||
+      scaled.size() != state_dim())
     throw std::invalid_argument("apply_generator_transpose: size mismatch");
   // Lambda^T = -A^T M^{-1}: scale by the diagonal M^{-1}, then apply A^T.
-  std::vector<double> scaled(y.size());
   {
     const auto u_in = velocity_part(y);
     const auto p_in = pressure_part(y);

@@ -61,6 +61,12 @@ class AcousticGravityModel {
   void apply_generator(std::span<const double> y, std::span<double> out) const;
 
   /// out = Lambda^T y = -A^T M^{-1} y (the exact discrete adjoint generator).
+  /// `scratch` (state_dim() doubles, caller-owned so concurrent solves over
+  /// one shared model never contend) holds M^{-1} y; the overload without it
+  /// allocates that buffer per call.
+  void apply_generator_transpose(std::span<const double> y,
+                                 std::span<double> out,
+                                 std::span<double> scratch) const;
   void apply_generator_transpose(std::span<const double> y,
                                  std::span<double> out) const;
 

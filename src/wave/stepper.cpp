@@ -62,11 +62,12 @@ void Rk4Stepper::adjoint_step(std::span<double> w, std::span<double> acc,
   if (has_acc && acc.size() != n)
     throw std::invalid_argument("Rk4Stepper::adjoint_step: bad acc size");
 
-  // Krylov sequence v_i = (Lambda^T)^i w.
-  model_.apply_generator_transpose(w, std::span<double>(k1_));
-  model_.apply_generator_transpose(k1_, std::span<double>(k2_));
-  model_.apply_generator_transpose(k2_, std::span<double>(k3_));
-  model_.apply_generator_transpose(k3_, std::span<double>(k4_));
+  // Krylov sequence v_i = (Lambda^T)^i w; tmp_ (idle in the adjoint step)
+  // is the generator's M^{-1} scratch.
+  model_.apply_generator_transpose(w, std::span<double>(k1_), tmp_);
+  model_.apply_generator_transpose(k1_, std::span<double>(k2_), tmp_);
+  model_.apply_generator_transpose(k2_, std::span<double>(k3_), tmp_);
+  model_.apply_generator_transpose(k3_, std::span<double>(k4_), tmp_);
 
   if (has_acc) {
     // acc += D^T w = h (w + h/2 v1 + h^2/6 v2 + h^3/24 v3).

@@ -133,7 +133,7 @@ TEST_F(ArtifactBundleTest, WarmBootRanZeroPdeSolvesOrFactorizations) {
   EXPECT_GT(twin_->timers().count("Adjoint p2o"), 0);
   for (const char* name :
        {"Adjoint p2o", "Adjoint p2o (parallel)", "phase1: form F",
-        "phase1: form Fq", "form K", "factorize K",
+        "phase1: form Fq", "form K", "factorize K", "form V, W",
         "phase2: form+factorize K", "phase3: QoI covariance + Q"}) {
     EXPECT_EQ(warm_->timers().count(name), 0) << name;
   }

@@ -130,7 +130,8 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
   }
 
   /// Multi-RHS G* = Gamma_prior F^T against 3 random data-space columns,
-  /// through the production pair that Phase 2's Hessian assembly batches.
+  /// through the multi-RHS FFT apply and the column-wise prior (the pair
+  /// Phase 2 once formed K with; perfbench still times the FFT half).
   static Matrix gstar_many() {
     const Posterior& post = twin_->posterior();
     Rng rng(29);

@@ -166,6 +166,7 @@ TEST_F(TwinTest, TimersRecordAllPhases) {
   EXPECT_GT(t.total("phase3: QoI covariance + Q"), 0.0);
   EXPECT_GT(t.total("form K"), 0.0);
   EXPECT_GT(t.total("factorize K"), 0.0);
+  EXPECT_GT(t.total("form V, W"), 0.0);
 }
 
 TEST(DigitalTwinErrors, InferBeforeOfflineThrows) {

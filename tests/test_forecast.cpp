@@ -51,11 +51,9 @@ struct QoiProblem {
     f.toeplitz->apply(m_typ, std::span<double>(d_typ));
     noise = relative_noise(d_typ, 0.05);
 
-    hessian =
-        std::make_unique<DataSpaceHessian>(*f.toeplitz, *prior, noise, 16);
+    hessian = std::make_unique<DataSpaceHessian>(f, *prior, noise);
     posterior = std::make_unique<Posterior>(*f.toeplitz, *prior, *hessian);
-    predictor = std::make_unique<QoiPredictor>(*f.toeplitz, *fq.toeplitz,
-                                               *prior, *hessian);
+    predictor = std::make_unique<QoiPredictor>(f, fq, *prior, *hessian);
   }
 
   /// Noisy observations from a fresh prior-distributed truth.

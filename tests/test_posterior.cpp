@@ -57,8 +57,7 @@ struct TinyProblem {
     noise = relative_noise(d_obs, 0.05);
     for (auto& v : d_obs) v += noise.sigma * rng.normal();
 
-    hessian = std::make_unique<DataSpaceHessian>(*map.toeplitz, *prior, noise,
-                                                 16);
+    hessian = std::make_unique<DataSpaceHessian>(map, *prior, noise);
     posterior = std::make_unique<Posterior>(*map.toeplitz, *prior, *hessian);
   }
 
@@ -129,6 +128,78 @@ TEST(DataSpaceHessian, MatchesDenseDefinition) {
 TEST(DataSpaceHessian, IsNearlySymmetricBeforeSymmetrization) {
   TinyProblem tp;
   EXPECT_LT(tp.hessian->asymmetry(), 1e-10);
+}
+
+/// Dense map matrix from unit vectors through its Toeplitz engine.
+Matrix dense_map(const P2oMap& m) {
+  const std::size_t rows = m.toeplitz->output_dim();
+  const std::size_t cols = m.toeplitz->input_dim();
+  Matrix out(rows, cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    std::vector<double> e(cols, 0.0), col(rows);
+    e[j] = 1.0;
+    m.toeplitz->apply(e, std::span<double>(col));
+    for (std::size_t i = 0; i < rows; ++i) out(i, j) = col[i];
+  }
+  return out;
+}
+
+/// prior_cross_gram(a, b) against its definition A Gamma_prior B^T, each
+/// factor assembled densely.
+void expect_cross_gram_matches_dense(const P2oMap& a, const P2oMap& b,
+                                     const MaternPrior& prior) {
+  const Matrix da = dense_map(a), db = dense_map(b);
+  const std::size_t n_param = da.cols();
+  Matrix c(n_param, n_param);
+  for (std::size_t j = 0; j < n_param; ++j) {
+    std::vector<double> e(n_param, 0.0), col(n_param);
+    e[j] = 1.0;
+    prior.apply_time_blocks(e, std::span<double>(col), a.nt);
+    for (std::size_t i = 0; i < n_param; ++i) c(i, j) = col[i];
+  }
+  Matrix ac(da.rows(), n_param);
+  gemm(da, c, ac);
+  Matrix dense(da.rows(), db.rows());
+  gemm(ac, db.transposed(), dense);
+
+  const Matrix g = prior_cross_gram(a, b, prior);
+  ASSERT_EQ(g.rows(), dense.rows());
+  ASSERT_EQ(g.cols(), dense.cols());
+  double gmax = 0.0;
+  for (std::size_t i = 0; i < dense.size(); ++i)
+    gmax = std::max(gmax, std::abs(dense.data()[i]));
+  ASSERT_GT(gmax, 0.0);
+  const double scale = 1e-10 + 1e-8 * gmax;
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    for (std::size_t j = 0; j < g.cols(); ++j)
+      EXPECT_NEAR(g(i, j), dense(i, j), scale) << "entry (" << i << ", " << j
+                                               << ")";
+}
+
+TEST(PriorCrossGram, MatchesDenseDefinition) {
+  // Nd = 2 sensors against Nq = 3 gauges: non-square blocks on both sides
+  // of the block diagonal, so a swapped offset or block index shows.
+  TinyProblem tp;
+  const ObservationOperator gauges = ObservationOperator::surface_gauges(
+      tp.model, {{6e3, 7e3}, {15e3, 15e3}, {24e3, 20e3}});
+  const P2oMap fq = build_p2o_map(tp.model, gauges, tp.grid);
+  expect_cross_gram_matches_dense(tp.map, fq, *tp.prior);  // V
+  expect_cross_gram_matches_dense(fq, tp.map, *tp.prior);  // V^T
+  expect_cross_gram_matches_dense(fq, fq, *tp.prior);      // W (mirrored)
+  expect_cross_gram_matches_dense(tp.map, tp.map, *tp.prior);
+}
+
+TEST(PriorCrossGram, SingleIntervalMatchesDenseDefinition) {
+  TinyProblem tp;
+  TimeGrid one = tp.grid;
+  one.num_intervals = 1;
+  const ObservationOperator gauges =
+      ObservationOperator::surface_gauges(tp.model, {{15e3, 15e3}});
+  const P2oMap f = build_p2o_map(tp.model, *tp.obs, one);
+  const P2oMap fq = build_p2o_map(tp.model, gauges, one);
+  expect_cross_gram_matches_dense(f, fq, *tp.prior);
+  expect_cross_gram_matches_dense(fq, fq, *tp.prior);
+  expect_cross_gram_matches_dense(f, f, *tp.prior);
 }
 
 TEST(DataSpaceHessian, SolveInvertsMatrix) {

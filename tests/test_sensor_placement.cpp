@@ -41,7 +41,7 @@ struct PlacementProblem {
     f_pool.toeplitz->apply(m, std::span<double>(d));
     noise = relative_noise(d, 0.05);
 
-    pool = build_placement_pool(*f_pool.toeplitz, *fq.toeplitz, *prior, noise);
+    pool = build_placement_pool(f_pool, fq, *prior, noise);
   }
 
   Bathymetry bathy;
